@@ -16,7 +16,6 @@ the resulting violations can be inspected together with the failed hypothesis.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -139,7 +138,6 @@ def check_agreement(
     sound on serial structures and never changes the verdict.
     """
     hyp: list = []
-    hyp_exhaustive = True
     if mode == MODE_THEOREM2:
         if not isinstance(target, CounterfactualStructure):
             raise InputError("theorem2 mode checks a counterfactual structure")
@@ -159,9 +157,7 @@ def check_agreement(
         field = tuple(dfs[0].table)
         hyp.extend(check_like_minded(None, dfs))
         for df in dfs:
-            stp_result = check_stp_field(field, df)
-            hyp.extend(stp_result)
-            hyp_exhaustive = hyp_exhaustive and stp_result.exhaustive
+            hyp.extend(check_stp_field(field, df))
     else:
         raise InputError(f"unknown mode {mode!r}")
 
@@ -209,7 +205,7 @@ def check_agreement(
         group=members,
         profiles_checked=profiles_checked,
         violations=tuple(violations),
-        hypothesis_violations=ViolationList(entries=tuple(hyp), exhaustive=hyp_exhaustive),
+        hypothesis_violations=ViolationList(entries=tuple(hyp)),
     )
 
 
@@ -223,14 +219,13 @@ def search_disagreement(
     field: Iterable[Event] | None = None,
     max_families: int = 1_000_000,
     max_cells: int | None = None,
-    threads: int = 1,
 ) -> DisagreementWitness | None:
     """Search decision families for an agreement violation.
 
     Constraints that are not relaxed are enforced during enumeration, so with
     ``relax`` empty this is an exhaustive confirmation that no family can
     produce a commonly-believed disagreement. The first witness in enumeration
-    order is returned regardless of the thread count.
+    order is returned.
     """
     relax_set = frozenset(relax)
     bad = relax_set - set(RELAXABLE)
@@ -266,34 +261,16 @@ def search_disagreement(
         max_cells=max_cells,
     )
 
-    def evaluate(family: tuple[DecisionFunction, ...]):
+    for family in families:
         verdict = check_agreement(check_target, family, group=group, mode=mode)
-        return family, verdict
-
-    def to_witness(family, verdict) -> DisagreementWitness:
-        first = verdict.violations[0]
-        return DisagreementWitness(
-            family=family,
-            profile=first.profile,
-            event=first.common_belief_event,
-            relaxed=relax_set,
-            mode=mode,
-            group=verdict.group,
-        )
-
-    if threads <= 1:
-        for family in families:
-            family, verdict = evaluate(family)
-            if verdict.violations:
-                return to_witness(family, verdict)
-        return None
-
-    chunk_size = 64
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        while True:
-            chunk = list(itertools.islice(families, chunk_size))
-            if not chunk:
-                return None
-            for family, verdict in pool.map(evaluate, chunk):
-                if verdict.violations:
-                    return to_witness(family, verdict)
+        if verdict.violations:
+            first = verdict.violations[0]
+            return DisagreementWitness(
+                family=family,
+                profile=first.profile,
+                event=first.common_belief_event,
+                relaxed=relax_set,
+                mode=mode,
+                group=verdict.group,
+            )
+    return None

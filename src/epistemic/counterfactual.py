@@ -17,7 +17,6 @@ structures can be audited with the same machinery.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -181,7 +180,6 @@ def build_counterfactual(
                 targets = label.event if label.base in label.event else cells[i][label.base]
             else:
                 targets = cells[i][label.base]
-            assert targets, "every duplicate must reach at least one actual state"
             relations[i].update((name, t) for t in targets)
 
     combined = InformationStructure(
@@ -228,8 +226,11 @@ class VerificationReport:
         raise KeyError(name)
 
 
-def _verification_groups(agents: tuple[str, ...], limit: int) -> list[tuple[str, ...]]:
-    if len(agents) <= limit:
+_GROUP_LIMIT = 8  # above this many agents, audit reachability for singletons and the whole set only
+
+
+def _verification_groups(agents: tuple[str, ...]) -> list[tuple[str, ...]]:
+    if len(agents) <= _GROUP_LIMIT:
         out = []
         for r in range(1, len(agents) + 1):
             out.extend(itertools.combinations(agents, r))
@@ -239,24 +240,14 @@ def _verification_groups(agents: tuple[str, ...], limit: int) -> list[tuple[str,
 
 
 def verify_counterfactual(
-    source: InformationStructure,
-    built: CounterfactualStructure,
-    *,
-    seed: int = 0,
-    axiom_samples: int = 120,
-    prop7_exhaustive_limit: int = 10,
-    prop7_samples: int = 400,
-    pair_sample_limit: int = 2500,
-    group_limit: int = 8,
+    source: InformationStructure, built: CounterfactualStructure
 ) -> VerificationReport:
     """Audit a counterfactual structure against the properties it should satisfy.
 
-    Runs every structural check with an explicit witness on failure. Event
-    quantified checks are exhaustive over subsets of the actual states up to
-    ``prop7_exhaustive_limit`` of them, and seeded-random elsewhere. The
-    include-self reading of reachability components is reported as an advisory
-    discrepancy rather than a failure; the successors-only reading is the one
-    verified.
+    Runs every structural check exactly, with an explicit witness on failure.
+    The include-self reading of reachability components is reported as an
+    advisory discrepancy rather than a failure; the successors-only reading is
+    the one verified.
     """
     if built.origin != source:
         raise InputError("verification requires the structure the counterfactual was built from")
@@ -266,7 +257,6 @@ def verify_counterfactual(
     agents = S.agents
     lam = sorted(built.labels)
     checks: list[CheckResult] = []
-    rng = random.Random(seed)
 
     def add(name: str, passed: bool, detail: str = "", advisory: bool = False) -> None:
         checks.append(CheckResult(name=name, passed=passed, detail=detail, advisory=advisory))
@@ -339,7 +329,7 @@ def verify_counterfactual(
         "" if mismatch is None else f"agent {mismatch[0]} at {mismatch[1]}")
 
     # ---- reachability ---------------------------------------------------------
-    groups = _verification_groups(agents, group_limit)
+    groups = _verification_groups(agents)
     reach_witness = None
     union_witness = None
     for g in groups:
@@ -412,101 +402,44 @@ def verify_counterfactual(
         )
     add("truth_fails_at_duplicates", deluded and bool(lam), t_witness)
 
-    # ---- sampled belief axioms -------------------------------------------------
-    nbits = len(S.states)
-    full = (1 << nbits) - 1
-    k_wit = d_wit = four_wit = None
-    for _ in range(axiom_samples):
-        e = rng.getrandbits(nbits)
-        f = rng.getrandbits(nbits)
-        for i in agents:
-            be = S._belief_mask(i, e)
-            if S._belief_mask(i, (full ^ e) | f) & be & ~S._belief_mask(i, f):
-                k_wit = k_wit or i
-            if be & S._belief_mask(i, full ^ e):
-                d_wit = d_wit or i
-            if be & ~S._belief_mask(i, be):
-                four_wit = four_wit or i
-    add("axiom_K_sampled", k_wit is None, k_wit and f"agent {k_wit}" or "")
-    add("axiom_D_sampled", d_wit is None, d_wit and f"agent {d_wit}" or "")
-    add("axiom_4_sampled", four_wit is None, four_wit and f"agent {four_wit}" or "")
-
     # ---- secret-ignorance biconditional ----------------------------------------
+    # (bel(w) | bel(w') <= E) <=> (bel(lambda) <= E) holds for every event E
+    # exactly when the two masks are equal: take E to be each side in turn.
+    bel = {i: dict(zip(S.states, S._succ[i])) for i in agents}
+
+    def realized(i: str, base: str, u: int) -> bool:
+        """Whether the duplicate labelled (i, base, u) exists and i believes exactly u there."""
+        try:
+            name = built.counterfactual_state(i, base, S._unmask(u))
+        except NotFoundError:
+            return False
+        return bel[i][name] == u
+
     omega_sorted = sorted(actual)
-    bel = {
-        (i, w): S._mask(S.possibility_set(i, w)) for i in agents for w in S.states
-    }
-    pair_info = {}
-    pair_info_gap = None
-    for i in agents:
-        for w, wp in itertools.product(omega_sorted, repeat=2):
-            u = bel[(i, w)] | bel[(i, wp)]
-            try:
-                lam_name = built.counterfactual_state(i, w, S._unmask(u))
-            except NotFoundError:
-                pair_info_gap = (i, w, wp)
-                break
-            pair_info[(i, w, wp)] = (bel[(i, w)], bel[(i, wp)], bel[(i, lam_name)])
-        if pair_info_gap:
-            break
-
-    def biconditional_holds(emask: int) -> tuple[bool, tuple | None]:
-        for key, (bw, bwp, blam) in pair_info.items():
-            if ((bw | bwp) & ~emask == 0) != (blam & ~emask == 0):
-                return False, key
-        return True, None
-
-    omega_bits = [S._state_index(s) for s in omega_sorted]
-    bi_witness = pair_info_gap  # a missing duplicate already falsifies the property
-    if bi_witness is None and len(omega_bits) <= prop7_exhaustive_limit:
-        for r in range(len(omega_bits) + 1):
-            for combo in itertools.combinations(omega_bits, r):
-                ok, key = biconditional_holds(sum(1 << b for b in combo))
-                if not ok:
-                    bi_witness = key
-                    break
-            if bi_witness:
-                break
-        scope = f"exhaustive over all {2 ** len(omega_bits)} actual-state events"
-    else:
-        scope = "actual-state events sampled (too many for exhaustion)"
-    # the quantifier ranges over events of the full structure, so spot-check those too
-    for _ in range(prop7_samples):
-        if bi_witness:
-            break
-        ok, key = biconditional_holds(rng.getrandbits(nbits))
-        if not ok:
-            bi_witness = key
+    bi_witness = next(
+        (
+            (i, w, wp)
+            for i in agents
+            for w, wp in itertools.product(omega_sorted, repeat=2)
+            if not realized(i, w, bel[i][w] | bel[i][wp])
+        ),
+        None,
+    )
     add("secret_ignorance_biconditional", bi_witness is None,
-        f"{scope}, plus {prop7_samples} random full-structure events"
+        f"exact: checked as a mask equality for all {len(agents) * len(actual) ** 2} agent/base pairs"
         if bi_witness is None else f"fails for agent/base pair {bi_witness}")
 
     # ---- pairwise union realizability (informational) ---------------------------
-    all_pairs = list(itertools.product(S.states, repeat=2))
-    if len(all_pairs) > pair_sample_limit:
-        all_pairs = rng.sample(all_pairs, pair_sample_limit)
-        pair_scope = f"sampled {pair_sample_limit} state pairs"
-    else:
-        pair_scope = "all state pairs"
-    union_real = True
-    for i in agents:
-        for w, wp in all_pairs:
-            u = bel[(i, w)] | bel[(i, wp)]
-            if not u:
-                union_real = False  # empty beliefs have no realizing duplicate
-                break
-            base = sorted(S._unmask(u))[0]
-            try:
-                lam_name = built.counterfactual_state(i, base, S._unmask(u))
-            except NotFoundError:
-                union_real = False
-                break
-            if bel[(i, lam_name)] != u:
-                union_real = False
-                break
-        if not union_real:
-            break
-    add("pairwise_union_realized", union_real, pair_scope, advisory=True)
+    # realized at the duplicate whose base is the union's first state; an empty
+    # union has no realizing duplicate
+    union_real = all(
+        u and realized(i, min(S._unmask(u)), u)
+        for i in agents
+        for a, b in itertools.combinations_with_replacement(sorted(set(bel[i].values())), 2)
+        for u in (a | b,)
+    )
+    add("pairwise_union_realized", union_real, "exact over all unions of two belief sets",
+        advisory=True)
 
     properties = S.relation_properties()
     add("classification_in_belief_family",

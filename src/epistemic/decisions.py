@@ -11,9 +11,8 @@ the property holds.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import ClassVar, Iterable, Iterator, Mapping, Sequence
 
 from .counterfactual import CounterfactualStructure
 from .errors import DomainError, InputError, PreconditionError, ResourceLimitError
@@ -87,7 +86,7 @@ class Violation:
 @dataclass(frozen=True)
 class ViolationList:
     entries: tuple[Violation, ...]
-    exhaustive: bool = True
+    exhaustive: ClassVar[bool] = True  # every checker is exact
 
     @property
     def ok(self) -> bool:
@@ -266,32 +265,22 @@ def _disjoint_families(masks: Sequence[int], *, node_cap: int = _FAMILY_NODE_CAP
     return out
 
 
-def check_stp_field(
-    field: Iterable[Event],
-    df: DecisionFunction,
-    *,
-    max_exhaustive_states: int = 6,
-    samples: int = 5000,
-    seed: int = 0,
-) -> ViolationList:
+def check_stp_field(field: Iterable[Event], df: DecisionFunction) -> ViolationList:
     """Check the field form of the principle: disjoint same-action events whose
     union lies in the field must map that union to the same action.
 
-    Exhaustive while the underlying state count is small; above
-    ``max_exhaustive_states`` it samples random families instead and the
-    returned list is flagged as not exhaustive.
+    Exact at every size: every disjoint family is enumerated, and a field with
+    too many of them raises :class:`ResourceLimitError` rather than truncating.
     """
     if df.kind != FIELD_KIND:
         raise InputError(f"expected a field-kind decision function for agent {df.agent!r}")
     events, masks = _field_setup(field, df)
     actions = [df.table[e] for e in events]
-    universe_size = max(m.bit_length() for m in masks)
     violations = []
-
-    def record(member_idx: Sequence[int], union_idx: int):
+    for member_idx, union_idx in _disjoint_families(masks):
         expected = actions[member_idx[0]]
         actual = actions[union_idx]
-        if actual != expected:
+        if actual != expected and all(actions[k] == expected for k in member_idx[1:]):
             violations.append(
                 Violation(
                     kind="stp",
@@ -302,36 +291,7 @@ def check_stp_field(
                     actual=actual,
                 )
             )
-
-    if universe_size <= max_exhaustive_states:
-        for member_idx, union_idx in _disjoint_families(masks):
-            if len({actions[k] for k in member_idx}) == 1:
-                record(member_idx, union_idx)
-        return ViolationList(entries=tuple(violations), exhaustive=True)
-
-    rng = random.Random(seed)
-    by_mask = {m: k for k, m in enumerate(masks)}
-    order = list(range(len(events)))
-    for _ in range(samples):
-        rng.shuffle(order)
-        chosen: list[int] = []
-        union = 0
-        want: str | None = None
-        for k in order:
-            if masks[k] & union:
-                continue
-            if want is not None and actions[k] != want:
-                continue
-            if rng.random() < 0.5:
-                continue
-            chosen.append(k)
-            union |= masks[k]
-            want = actions[k]
-        if len(chosen) >= 2 and union in by_mask:
-            record(sorted(chosen), by_mask[union])
-    # distinct violations only; sampling may hit the same family twice
-    unique = tuple(dict.fromkeys(violations))
-    return ViolationList(entries=unique, exhaustive=False)
+    return ViolationList(entries=tuple(violations))
 
 
 def complete_stp_field(field: Iterable[Event], table: Mapping[Event, str]) -> dict[Event, str]:
@@ -595,10 +555,6 @@ def enumerate_decision_profiles(
         universe = sorted(frozenset().union(*domain))
         index = {s: k for k, s in enumerate(universe)}
         masks = [sum(1 << index[s] for s in e) for e in domain]
-        if len(universe) > 6:
-            raise ResourceLimitError(
-                "constrained field enumeration is exhaustive only up to 6 underlying states"
-            )
         families_idx = _disjoint_families(masks)
 
     def respects_stp(combo: tuple[str, ...]) -> bool:

@@ -85,6 +85,12 @@ def _expect(doc: dict, key: str, types, where: str):
     return doc[key]
 
 
+def _expect_version(doc: dict, where: str) -> None:
+    version = _expect(doc, "version", int, where)
+    if isinstance(version, bool) or version != FORMAT_VERSION:
+        raise ParseError(f"unsupported format version {version}")
+
+
 def _str_list(values, where: str) -> list[str]:
     if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
         raise ParseError(f"{where}: expected a list of strings")
@@ -97,9 +103,7 @@ def document_to_structure(doc) -> InformationStructure | CounterfactualStructure
     unknown = set(doc) - _STRUCTURE_KEYS
     if unknown:
         raise ParseError(f"unknown keys in structure document: {sorted(unknown)}")
-    version = _expect(doc, "version", int, "structure document")
-    if version != FORMAT_VERSION:
-        raise ParseError(f"unsupported format version {version}")
+    _expect_version(doc, "structure document")
     states = _str_list(_expect(doc, "states", list, "structure document"), "states")
     agents = _str_list(_expect(doc, "agents", list, "structure document"), "agents")
     relations_doc = _expect(doc, "relations", dict, "structure document")
@@ -138,6 +142,8 @@ def _attach_provenance(structure: InformationStructure, provenance) -> Counterfa
     for entry in labels_doc:
         if not isinstance(entry, dict) or set(entry) != _LABEL_KEYS:
             raise ParseError(f"label entry {entry!r} must have exactly the keys {sorted(_LABEL_KEYS)}")
+        if not all(isinstance(entry[key], str) for key in _LABEL_KEYS):
+            raise ParseError(f"label entry {entry!r} must map every key to a string")
         name = entry["state"]
         if name in labels:
             raise ParseError(f"duplicate label for state {name!r}")
@@ -234,9 +240,7 @@ def parse_decisions(text: str) -> tuple[tuple[DecisionFunction, ...], tuple[str,
     unknown = set(doc) - _DECISION_KEYS
     if unknown:
         raise ParseError(f"unknown keys in decision document: {sorted(unknown)}")
-    version = _expect(doc, "version", int, "decision document")
-    if version != FORMAT_VERSION:
-        raise ParseError(f"unsupported format version {version}")
+    _expect_version(doc, "decision document")
     actions = _str_list(_expect(doc, "actions", list, "decision document"), "actions")
     if len(set(actions)) != len(actions):
         raise ParseError("duplicate action names")

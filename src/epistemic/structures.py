@@ -365,9 +365,7 @@ class InformationStructure:
     def relation_properties(self) -> PropertyReport:
         """Evaluate seriality, reflexivity, transitivity and euclideanness per agent."""
         flags = {agent: self._agent_flags(agent) for agent in self.agents}
-        for f in flags.values():
-            # reflexive + euclidean jointly entail transitive
-            assert not (f.reflexive and f.euclidean) or f.transitive
+
         def every(prop: str) -> bool:
             return all(getattr(f, prop) for f in flags.values())
 

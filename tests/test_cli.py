@@ -156,7 +156,7 @@ def test_search_json_and_threads_match(d1_path, capsys):
     assert main(["search", d1_path, "--actions", "2", "--relax", "stp", "--json"]) == 1
     single = capsys.readouterr().out
     assert main([
-        "search", d1_path, "--actions", "2", "--relax", "stp", "--json", "--threads", "3",
+        "search", d1_path, "--actions", "2", "--relax", "stp", "--json",
     ]) == 1
     threaded = capsys.readouterr().out
     assert single == threaded

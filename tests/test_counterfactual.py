@@ -21,6 +21,7 @@ from epistemic import (
     verify_counterfactual,
 )
 from generators import random_partitional
+from test_acceptance import _verified_corpus
 
 
 def test_sizes_d1(d1, d1_cf):
@@ -243,3 +244,86 @@ def test_random_corpus_builds_and_verifies():
         report = verify_counterfactual(S, built)
         assert report.passed, report.failures()
         assert built.structure.restricted_to(built.actual) == S
+
+
+# ---------------------------------------------------------------------------
+# exact checks against their definitions
+# ---------------------------------------------------------------------------
+
+
+def biconditional_reference(built):
+    """(bel(w), bel(w') <= E) <=> (bel(lambda) <= E) for every event E over the
+    actual states, every agent and every pair of actual states."""
+    S = built.structure
+    omega = sorted(built.actual)
+    triples = []
+    for agent in S.agents:
+        for w, wp in itertools.product(omega, repeat=2):
+            bw, bwp = S.possibility_set(agent, w), S.possibility_set(agent, wp)
+            try:
+                lam = built.counterfactual_state(agent, w, bw | bwp)
+            except NotFoundError:
+                return False
+            triples.append((bw, bwp, S.possibility_set(agent, lam)))
+    return all(
+        (bw <= e and bwp <= e) == (blam <= e)
+        for r in range(len(omega) + 1)
+        for e in map(frozenset, itertools.combinations(omega, r))
+        for bw, bwp, blam in triples
+    )
+
+
+def pairwise_union_reference(built):
+    """The union of the beliefs at any two states is believed exactly at the
+    duplicate based at that union's first state."""
+    S = built.structure
+
+    def realized(agent, union):
+        try:
+            lam = built.counterfactual_state(agent, min(union), union)
+        except (NotFoundError, ValueError):  # ValueError: min() of the empty union
+            return False
+        return S.possibility_set(agent, lam) == union
+
+    for agent in S.agents:
+        beliefs = [S.possibility_set(agent, w) for w in S.states]
+        unions = {bw | bwp for bw, bwp in itertools.product(beliefs, repeat=2)}
+        if not all(realized(agent, union) for union in unions):
+            return False
+    return True
+
+
+def _damage(rng, built):
+    """Drop one relation pair and, about a third of the time, add a stray pair
+    into the actual states."""
+    S = built.structure
+    relations = {i: set(S.relations[i]) for i in S.agents}
+    agent = rng.choice(S.agents)
+    relations[agent].discard(rng.choice(sorted(relations[agent])))
+    if rng.random() < 0.3:
+        relations[rng.choice(S.agents)].add((rng.choice(S.states), rng.choice(sorted(built.actual))))
+    damaged = InformationStructure(S.states, S.agents, relations, allow_plus_in_names=True)
+    return CounterfactualStructure(
+        structure=damaged, actual=built.actual, labels=built.labels, origin=built.origin
+    )
+
+
+def test_exact_checks_match_their_definitions():
+    rng = random.Random(106)
+    outcomes = {"secret_ignorance_biconditional": set(), "pairwise_union_realized": set()}
+    failed = 0
+    for S, built, audit in _verified_corpus():
+        assert audit.passed
+        assert biconditional_reference(built) and pairwise_union_reference(built)
+        damaged = _damage(rng, built)
+        report = verify_counterfactual(S, damaged)
+        bi = report.check("secret_ignorance_biconditional").passed
+        pu = report.check("pairwise_union_realized").passed
+        assert bi == biconditional_reference(damaged)
+        assert pu == pairwise_union_reference(damaged)
+        outcomes["secret_ignorance_biconditional"].add(bi)
+        outcomes["pairwise_union_realized"].add(pu)
+        failed += not report.passed
+    # both checks are seen to pass and to fail, so the agreement is not vacuous
+    assert all(seen == {True, False} for seen in outcomes.values())
+    assert failed >= 190

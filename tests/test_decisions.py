@@ -1,5 +1,6 @@
 """Decision functions, the Sure-Thing Principle, like-mindedness, enumeration."""
 
+import itertools
 import random
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from epistemic import (
     DecisionFunction,
     DomainError,
+    InformationStructure,
     InputError,
     PreconditionError,
     ResourceLimitError,
@@ -17,6 +19,7 @@ from epistemic import (
     complete_stp_field,
     derive_action_function,
     enumerate_decision_profiles,
+    equivalence_pairs,
     gamma,
     partition,
     powerset_field,
@@ -165,16 +168,53 @@ def test_stp_field_overlapping_events_unconstrained():
     assert check_stp_field(field, df).ok
 
 
-def test_stp_field_sampled_mode_flags_and_finds():
+def test_stp_field_exact_above_six_states():
     states = [f"s{k}" for k in range(8)]
     singles = [ev(s) for s in states]
     field = tuple(singles) + (ev("s0", "s1"),)
     table = {e: "x" for e in singles}
     table[ev("s0", "s1")] = "y"
-    result = check_stp_field(field, field_df("a", table), seed=0)
-    assert not result.exhaustive
-    assert len(result) >= 1
-    assert result.entries[0].union_event == ev("s0", "s1")
+    result = check_stp_field(field, field_df("a", table))
+    assert result.exhaustive
+    assert [(v.events, v.union_event) for v in result] == [
+        ((ev("s0"), ev("s1")), ev("s0", "s1"))
+    ]
+
+
+def stp_field_bruteforce(field, table):
+    """Reference: every pairwise-disjoint subfamily of at least two same-action
+    events whose union lies in the field and maps to another action."""
+    events = list(field)
+    out = set()
+    for r in range(2, len(events) + 1):
+        for family in itertools.combinations(events, r):
+            union = frozenset().union(*family)
+            if sum(len(e) for e in family) != len(union) or union not in table:
+                continue
+            acts = {table[e] for e in family}
+            if len(acts) == 1 and table[union] not in acts:
+                out.add((frozenset(family), union))
+    return out
+
+
+def test_stp_field_matches_bruteforce_on_restricted_fields():
+    rng = random.Random(41)
+    checked = violated = 0
+    while checked < 30:
+        n = rng.randint(7, 8)
+        S = random_partitional(rng, max_states=n, max_agents=2, max_cells=3)
+        if len(S.states) < 7:
+            continue
+        field = set(union_of_gammas(S))
+        field.update(frozenset(rng.sample(S.states, rng.randint(1, 3))) for _ in range(3))
+        table = {e: rng.choice(["x", "y"]) for e in field}
+        result = check_stp_field(field, field_df("a", table))
+        got = {(frozenset(v.events), v.union_event) for v in result}
+        assert len(got) == len(result)
+        assert got == stp_field_bruteforce(field, table)
+        checked += 1
+        violated += bool(got)
+    assert violated > 5
 
 
 def test_stp_field_matches_gamma_on_shared_domain(d1):
@@ -317,6 +357,27 @@ def test_constrained_enumeration_matches_bruteforce_filter(d1):
 
     smart_stp = list(enumerate_decision_profiles(d1, 2, stp=True))
     assert len(smart_stp) == 300  # 6 tables for a, 50 for b
+
+
+def test_field_enumeration_with_stp_above_six_states():
+    S = InformationStructure(
+        [f"s{k}" for k in range(7)], ["a"],
+        {"a": equivalence_pairs([["s0", "s1"], ["s2"], ["s3", "s4", "s5", "s6"]])},
+    )
+    field = union_of_gammas(S)
+    smart = [
+        family[0].table
+        for family in enumerate_decision_profiles(
+            S, 2, kind="field", field=field, stp=True, like_minded=True
+        )
+    ]
+    brute = [
+        table
+        for combo in itertools.product("01", repeat=len(field))
+        for table in (dict(zip(field, combo)),)
+        if check_stp_field(field, field_df("a", table)).ok
+    ]
+    assert smart == brute and len(brute) == 32
 
 
 def test_enumeration_is_deterministic(d1):

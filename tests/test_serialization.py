@@ -20,6 +20,7 @@ from epistemic import (
     structure_hash,
     structure_to_document,
 )
+from epistemic.cli import main
 from generators import random_partitional, random_structure
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -103,10 +104,31 @@ def test_unknown_keys_rejected(d1):
 
 
 def test_bad_version_rejected(d1):
-    doc = structure_to_document(d1)
-    doc["version"] = 2
+    decisions = json.loads(serialize_decisions(
+        [DecisionFunction(agent="a", kind="field", table={frozenset({"w0"}): "0"})]
+    ))
+    for version in (2, True):  # bool is an int subclass, yet no version number
+        doc = structure_to_document(d1)
+        doc["version"] = version
+        with pytest.raises(ParseError):
+            parse_structure(json.dumps(doc))
+        decisions["version"] = version
+        with pytest.raises(ParseError):
+            parse_decisions(json.dumps(decisions))
+
+
+@pytest.mark.parametrize("key, value", [("event", 7), ("agent", ["a"]), ("state", ["x"])])
+def test_label_field_types_rejected(tmp_path, capsys, key, value):
+    doc = json.loads((GOLDEN / "d1_counterfactual.json").read_text("utf-8"))
+    doc["provenance"]["labels"][0][key] = value
+    text = json.dumps(doc)
     with pytest.raises(ParseError):
-        parse_structure(json.dumps(doc))
+        parse_structure(text)
+    path = tmp_path / "bad.json"
+    path.write_text(text, "utf-8")
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_provenance_hash_must_match(d1_cf):

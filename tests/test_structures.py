@@ -309,6 +309,8 @@ def test_counterexample_finders_are_sound():
         S = random_structure(rng)
         ce = euclidean_counterexample(S)
         flags = S.relation_properties().flags
+        # reflexive and euclidean together entail transitive
+        assert all(f.transitive for f in flags.values() if f.reflexive and f.euclidean)
         if all(f.euclidean for f in flags.values()):
             assert ce is None
             continue
