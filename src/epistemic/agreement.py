@@ -28,8 +28,8 @@ from .decisions import (
     check_like_minded,
     check_stp_field,
     check_stp_gamma,
-    derive_action_function,
     enumerate_decision_profiles,
+    _undecided,
 )
 from .errors import InputError, PreconditionError
 from .structures import Event, InformationStructure
@@ -162,41 +162,42 @@ def check_agreement(
         raise InputError(f"unknown mode {mode!r}")
 
     members = carrier._group(group) if group is not None else carrier.agents
-    deltas = {
-        df.agent: derive_action_function(target if mode == MODE_THEOREM2 else carrier, df)
-        for df in dfs
-    }
-    states_by_action: dict[str, dict[str, set[str]]] = {}
-    for agent in members:
-        buckets: dict[str, set[str]] = {}
-        for state, action in deltas[agent].values.items():
-            buckets.setdefault(action, set()).add(state)
-        states_by_action[agent] = buckets
+    # Each agent's states by action: one OR per possibility set, which every table must cover.
+    masks_by_action: dict[str, dict[str, int]] = {}
+    for df in dfs:
+        buckets: dict[str, int] = {}
+        for info, mask, first in carrier._agent_index(df.agent).groups:
+            action = df.table.get(info)
+            if action is None:
+                raise _undecided(df.agent, carrier.states[first], info)
+            buckets[action] = buckets.get(action, 0) | mask
+        masks_by_action[df.agent] = buckets
 
     df_by_agent = {df.agent: df for df in dfs}
     action_ranges = [df_by_agent[a].actions() for a in members]
+    member_buckets = [masks_by_action[a] for a in members]
     profiles_checked = 0
     violations: list[AgreementViolation] = []
-    empty: set[str] = set()
     for combo in itertools.product(*action_ranges):
         profiles_checked += 1
-        agreement = set(carrier.states)
-        for agent, action in zip(members, combo):
-            agreement &= states_by_action[agent].get(action, empty)
+        agreement = carrier._full
+        for buckets, action in zip(member_buckets, combo):
+            agreement &= buckets.get(action, 0)
             if not agreement:
                 break
-        if prune and not agreement:
+        if prune and not agreement or len(set(combo)) == 1:
             continue
-        cb = carrier.common_belief_component(members, frozenset(agreement))
-        if cb and len(set(combo)) > 1:
+        cb = carrier._common_belief_mask(members, agreement)
+        if cb:
+            agreement_event = carrier._unmask(agreement)
             violations.append(
                 AgreementViolation(
                     profile=tuple(zip(members, combo)),
-                    witness=min(cb),
-                    agreement_event=frozenset(agreement),
-                    common_belief_event=cb,
+                    witness=carrier.states[(cb & -cb).bit_length() - 1],
+                    agreement_event=agreement_event,
+                    common_belief_event=carrier._unmask(cb),
                     agreement_event_actual=(
-                        frozenset(agreement) & target.actual if mode == MODE_THEOREM2 else None
+                        agreement_event & target.actual if mode == MODE_THEOREM2 else None
                     ),
                 )
             )

@@ -10,6 +10,7 @@ the property holds.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import ClassVar, Iterable, Iterator, Mapping, Sequence
@@ -28,6 +29,7 @@ GAMMA_KIND = "gamma"
 FIELD_KIND = "field"
 
 _FAMILY_NODE_CAP = 1_000_000
+_FAMILY_CACHE_SIZE = 64  # distinct fields whose disjoint families are kept
 
 
 @dataclass
@@ -174,17 +176,21 @@ def derive_action_function(target, df: DecisionFunction) -> ActionAssignment:
             raise PreconditionError("field-kind action functions require a partitional structure")
         carrier = target
     values: dict[str, str] = {}
-    for state in carrier.states:
-        info = carrier.possibility_set(df.agent, state)
+    for state, info in zip(carrier.states, carrier._agent_index(df.agent).info):
         try:
             values[state] = df.table[info]
         except KeyError:
-            raise DomainError(
-                f"agent {df.agent!r} has no decision for their information at state {state!r} "
-                f"(event {canonical_event_string(info)})",
-                event=info,
-            ) from None
+            raise _undecided(df.agent, state, info) from None
     return ActionAssignment(agent=df.agent, values=values)
+
+
+def _undecided(agent: str, state: str, info: Event) -> DomainError:
+    """The error for a state whose possibility set has no entry in the agent's table."""
+    return DomainError(
+        f"agent {agent!r} has no decision for their information at state {state!r} "
+        f"(event {canonical_event_string(info)})",
+        event=info,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +242,12 @@ def _field_setup(field: Iterable[Event], df: DecisionFunction):
         )
     universe = sorted(frozenset().union(*events))
     index = {s: k for k, s in enumerate(universe)}
-    masks = [sum(1 << index[s] for s in e) for e in events]
+    masks = tuple(sum(1 << index[s] for s in e) for e in events)
     return events, masks
 
 
-def _disjoint_families(masks: Sequence[int], *, node_cap: int = _FAMILY_NODE_CAP):
+@functools.lru_cache(maxsize=_FAMILY_CACHE_SIZE)  # every agent is checked on the same field
+def _disjoint_families(masks: tuple[int, ...], *, node_cap: int = _FAMILY_NODE_CAP):
     """Index tuples of pairwise-disjoint events (size >= 2) whose union is in the field."""
     by_mask = {m: k for k, m in enumerate(masks)}
     out: list[tuple[tuple[int, ...], int]] = []
@@ -262,7 +269,7 @@ def _disjoint_families(masks: Sequence[int], *, node_cap: int = _FAMILY_NODE_CAP
             chosen.pop()
 
     recurse(0, [], 0)
-    return out
+    return tuple(out)
 
 
 def check_stp_field(field: Iterable[Event], df: DecisionFunction) -> ViolationList:
@@ -550,11 +557,11 @@ def enumerate_decision_profiles(
     if any(not e or not e <= set(structure.states) for e in domain):
         raise InputError("field events must be non-empty subsets of the state set")
     count_one = len(acts) ** len(domain)
-    families_idx: list[tuple[tuple[int, ...], int]] = []
+    families_idx: tuple[tuple[tuple[int, ...], int], ...] = ()
     if stp:
         universe = sorted(frozenset().union(*domain))
         index = {s: k for k, s in enumerate(universe)}
-        masks = [sum(1 << index[s] for s in e) for e in domain]
+        masks = tuple(sum(1 << index[s] for s in e) for e in domain)
         families_idx = _disjoint_families(masks)
 
     def respects_stp(combo: tuple[str, ...]) -> bool:

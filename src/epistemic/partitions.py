@@ -63,8 +63,7 @@ def equivalence_class(structure: InformationStructure, agent: str, state: str) -
 def partition(structure: InformationStructure, agent: str) -> tuple[Event, ...]:
     """The agent's distinct equivalence classes, sorted canonically."""
     _require_partitional(structure)
-    cells = {structure.possibility_set(agent, s) for s in structure.states}
-    return tuple(sorted(cells, key=canonical_event_string))
+    return structure._agent_index(agent).cells
 
 
 def gamma(
@@ -74,7 +73,8 @@ def gamma(
 
     Materialized eagerly: for k cells this has 2**k - 1 members, so the cell
     count is capped (see :func:`resolve_max_cells`); exceeding the cap raises
-    instead of truncating.
+    instead of truncating. The cap is checked on every call; the closure is
+    built once per structure and agent.
     """
     cells = partition(structure, agent)
     cap = resolve_max_cells(max_cells)
@@ -83,6 +83,10 @@ def gamma(
             f"agent {agent!r} has {len(cells)} partition cells, above the cap of {cap}; "
             f"raise the cap explicitly or via {MAX_CELLS_ENV_VAR} if this is intended"
         )
+    return structure._memo(("gamma", agent), lambda: _union_closure(cells))
+
+
+def _union_closure(cells: tuple[Event, ...]) -> tuple[Event, ...]:
     events = []
     for r in range(1, len(cells) + 1):
         for combo in itertools.combinations(cells, r):

@@ -6,15 +6,17 @@ function of its inputs, so unrestricted concurrent reads are safe.
 
 Internally each event is a bitmask over the lexicographically sorted state
 list. That keeps intersection, union, subset and complement at machine-word
-cost and makes every derived output deterministic. The small memo caches
-(reachability components, belief images) only ever store recomputable
-values, so a racing recomputation is benign.
+cost and makes every derived output deterministic. The memo caches
+(belief images, and the per-structure index of classification, possibility
+sets, union closures and reachability) only ever store recomputable
+immutable values, so a racing recomputation is benign.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 from .errors import InputError
 
@@ -26,6 +28,8 @@ CLASS_KD4 = "kd4"
 CLASS_OTHER = "other"
 
 _BELIEF_CACHE_LIMIT = 1 << 16
+
+_T = TypeVar("_T")
 
 
 def canonical_event_string(members: Iterable[str]) -> str:
@@ -65,6 +69,14 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _grouped(values: Iterable[int]) -> tuple[tuple[int, int], ...]:
+    """(value, mask of the positions holding it) per distinct value, by first position."""
+    out: dict[int, int] = {}
+    for idx, value in enumerate(values):
+        out[value] = out.get(value, 0) | 1 << idx
+    return tuple(out.items())
+
+
 @dataclass(frozen=True)
 class RelationFlags:
     """Exact evaluation of the four quantified relation properties for one agent."""
@@ -79,8 +91,17 @@ class RelationFlags:
 class PropertyReport:
     """Per-agent relation flags plus the structure-level classification."""
 
-    flags: Mapping[str, RelationFlags]
+    flags: Mapping[str, RelationFlags]  # read-only: the report is shared by every caller
     classification: str
+
+
+@dataclass(frozen=True)
+class AgentIndex:
+    """One agent's possibility sets, computed once per structure."""
+
+    info: tuple[Event, ...]  # the possibility set of each state, by state index
+    groups: tuple[tuple[Event, int, int], ...]  # (set, state mask, first state index), in state order
+    cells: tuple[Event, ...]  # the distinct sets, sorted canonically
 
 
 class InformationStructure:
@@ -99,8 +120,8 @@ class InformationStructure:
         "_succ",
         "_full",
         "_pairs",
-        "_component_cache",
         "_belief_cache",
+        "_facts",
     )
 
     def __init__(
@@ -159,8 +180,10 @@ class InformationStructure:
             pairs[agent] = frozenset(norm)
         self._succ = succ
         self._pairs = pairs
-        self._component_cache: dict[tuple[str, ...], list[int]] = {}
         self._belief_cache: dict[tuple[str, int], int] = {}
+        # The per-structure index: immutable facts keyed by ("report",), ("agent", a),
+        # ("gamma", a), ("reach", *group) or ("reach_groups", *group), filled on first use.
+        self._facts: dict[tuple[str, ...], object] = {}
 
     # -- basic accessors ---------------------------------------------------
 
@@ -214,6 +237,13 @@ class InformationStructure:
     def _unmask(self, mask: int) -> Event:
         return frozenset(self.states[i] for i in _bits(mask))
 
+    def _memo(self, key: tuple[str, ...], build: Callable[[], _T]) -> _T:
+        """The fact stored under ``key``, built on first use."""
+        value = self._facts.get(key)
+        if value is None:
+            value = self._facts[key] = build()
+        return value
+
     def _group(self, group: Iterable[str]) -> tuple[str, ...]:
         members = sorted(set(group))
         if not members:
@@ -228,6 +258,19 @@ class InformationStructure:
         """All states the agent considers possible at ``state``."""
         self._check_agent(agent)
         return self._unmask(self._succ[agent][self._state_index(state)])
+
+    def _agent_index(self, agent: str) -> AgentIndex:
+        """The agent's possibility sets per state and grouped by set (cached)."""
+        return self._memo(("agent", agent), lambda: self._build_agent_index(self._check_agent(agent)))
+
+    def _build_agent_index(self, agent: str) -> AgentIndex:
+        grouped = _grouped(self._succ[agent])
+        sets = {succ: self._unmask(succ) for succ, _ in grouped}
+        return AgentIndex(
+            info=tuple(sets[succ] for succ in self._succ[agent]),
+            groups=tuple((sets[succ], states, (states & -states).bit_length() - 1) for succ, states in grouped),
+            cells=tuple(sorted(sets.values(), key=canonical_event_string)),
+        )
 
     def _belief_mask(self, agent: str, emask: int) -> int:
         key = (agent, emask)
@@ -289,11 +332,11 @@ class InformationStructure:
                 merged[i] |= succ[i]
         return merged
 
-    def _reach_masks(self, group: tuple[str, ...]) -> list[int]:
+    def _reach_masks(self, group: tuple[str, ...]) -> tuple[int, ...]:
         """For every state, the set of states reachable by group chains of length >= 1."""
-        cached = self._component_cache.get(group)
-        if cached is not None:
-            return cached
+        return self._memo(("reach", *group), lambda: self._build_reach_masks(group))
+
+    def _build_reach_masks(self, group: tuple[str, ...]) -> tuple[int, ...]:
         adj = self._union_succ(group)
         out: list[int] = []
         for start in range(len(self.states)):
@@ -306,8 +349,7 @@ class InformationStructure:
                 frontier = step & ~acc
                 acc |= frontier
             out.append(acc)
-        self._component_cache[group] = out
-        return out
+        return tuple(out)
 
     def component(self, group: Iterable[str], state: str) -> Event:
         """All states joined to ``state`` by a finite chain of group relations.
@@ -332,15 +374,17 @@ class InformationStructure:
         structures that are not reflexive. The two methods agree exactly, on
         every structure (this is cross-checked in the test suite).
         """
-        g = self._group(group)
-        emask = self._mask(event)
-        reach = self._reach_masks(g)
-        inv = ~emask
+        return self._unmask(self._common_belief_mask(self._group(group), self._mask(event)))
+
+    def _common_belief_mask(self, group: tuple[str, ...], emask: int) -> int:
+        # States sharing a reach mask are tested together.
+        reach_groups = self._memo(("reach_groups", *group), lambda: _grouped(self._reach_masks(group)))
+        outside = ~emask
         out = 0
-        for idx in range(len(self.states)):
-            if reach[idx] & inv == 0:
-                out |= 1 << idx
-        return self._unmask(out)
+        for reach, states in reach_groups:
+            if reach & outside == 0:
+                out |= states
+        return out
 
     # -- relation properties -------------------------------------------------
 
@@ -363,7 +407,10 @@ class InformationStructure:
         return RelationFlags(serial, reflexive, transitive, euclidean)
 
     def relation_properties(self) -> PropertyReport:
-        """Evaluate seriality, reflexivity, transitivity and euclideanness per agent."""
+        """Seriality, reflexivity, transitivity and euclideanness per agent (computed once)."""
+        return self._memo(("report",), self._classify)
+
+    def _classify(self) -> PropertyReport:
         flags = {agent: self._agent_flags(agent) for agent in self.agents}
 
         def every(prop: str) -> bool:
@@ -377,7 +424,7 @@ class InformationStructure:
             cls = CLASS_KD4
         else:
             cls = CLASS_OTHER
-        return PropertyReport(flags=flags, classification=cls)
+        return PropertyReport(flags=MappingProxyType(flags), classification=cls)
 
     def is_partitional(self) -> bool:
         return self.relation_properties().classification == CLASS_PARTITIONAL

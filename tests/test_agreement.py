@@ -1,22 +1,37 @@
 """Agreement verdicts and the disagreement search."""
 
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from epistemic import (
     ActionAssignment,
+    AgreementVerdict,
+    AgreementViolation,
+    CounterfactualStructure,
     DecisionFunction,
+    DomainError,
+    InformationStructure,
     InputError,
+    ResourceLimitError,
+    ViolationList,
     agreement_event,
+    build_counterfactual,
     check_agreement,
     check_like_minded,
+    check_stp_field,
     check_stp_gamma,
+    derive_action_function,
     enumerate_decision_profiles,
     gamma,
+    partition,
     powerset_field,
     search_disagreement,
 )
+from epistemic import d1 as make_d1
+from epistemic import partitions, structures
 from generators import random_partitional
 
 
@@ -222,3 +237,159 @@ def test_search_none_on_random_partitional_structures():
     for _ in range(8):
         S = random_partitional(rng, max_states=4, max_cells=2)
         assert search_disagreement(S, 2, relax=[]) is None
+
+
+# ---------------------------------------------------------------------------
+# the mask kernel against the per-state path it replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_check_agreement(target, family, group, mode, prune):
+    """check_agreement computed per state: derived action functions, per-action
+    state sets, and common belief as the iterated-mutual-belief fixpoint."""
+    dfs = sorted(family, key=lambda d: d.agent)
+    if mode == "theorem2":
+        carrier = target.structure
+        hyp = list(check_like_minded(target.origin, dfs))
+        for df in dfs:
+            hyp.extend(check_stp_gamma(target.origin, df))
+    else:
+        carrier = target
+        hyp = list(check_like_minded(None, dfs))
+        for df in dfs:
+            hyp.extend(check_stp_field(tuple(dfs[0].table), df))
+    members = tuple(sorted(group))
+    deltas = {df.agent: derive_action_function(target, df) for df in dfs}
+    states_by_action = {agent: {} for agent in members}
+    for agent in members:
+        for state, action in deltas[agent].values.items():
+            states_by_action[agent].setdefault(action, set()).add(state)
+    actions = {df.agent: df.actions() for df in dfs}
+    profiles_checked = 0
+    violations = []
+    for combo in itertools.product(*(actions[a] for a in members)):
+        profiles_checked += 1
+        agreement = set(carrier.states)
+        for agent, action in zip(members, combo):
+            agreement &= states_by_action[agent].get(action, set())
+        if prune and not agreement:
+            continue
+        cb = carrier.common_belief_iterative(members, agreement)
+        if cb and len(set(combo)) > 1:
+            violations.append(
+                AgreementViolation(
+                    profile=tuple(zip(members, combo)),
+                    witness=min(cb),
+                    agreement_event=frozenset(agreement),
+                    common_belief_event=cb,
+                    agreement_event_actual=(
+                        frozenset(agreement) & target.actual if mode == "theorem2" else None
+                    ),
+                )
+            )
+    return AgreementVerdict(
+        mode=mode,
+        group=members,
+        profiles_checked=profiles_checked,
+        violations=tuple(violations),
+        hypothesis_violations=ViolationList(entries=tuple(hyp)),
+    )
+
+
+def _small_structures(seed, count):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        S = random_partitional(rng, max_states=5, max_agents=3, max_cells=3)
+        if len(S.agents) >= 2 and len(S.states) >= 3:
+            out.append(S)
+    return out
+
+
+@pytest.mark.parametrize("mode", ["theorem1", "theorem2"])
+@pytest.mark.parametrize("relax", [(), ("stp",), ("like_minded",)])
+def test_mask_kernel_matches_per_state_reference(mode, relax):
+    checked_structures = 0
+    checked_violations = 0
+    for S in _small_structures(seed=71, count=10):
+        if mode == "theorem2":
+            target = build_counterfactual(S)
+            kwargs = {"kind": "gamma"}
+        else:
+            # every agent's cells, so every possibility set has a decision
+            target = S
+            kwargs = {"kind": "field", "field": {c for a in S.agents for c in partition(S, a)}}
+        try:
+            families = list(enumerate_decision_profiles(
+                S, 2, stp="stp" not in relax, like_minded="like_minded" not in relax,
+                max_families=320, **kwargs,
+            ))
+        except ResourceLimitError:
+            continue
+        checked_structures += 1
+        groups = [g for r in range(1, len(S.agents) + 1) for g in itertools.combinations(S.agents, r)]
+        for family in families:
+            for group in groups:
+                for prune in (True, False):
+                    got = check_agreement(target, family, group=group, mode=mode, prune=prune)
+                    assert got == reference_check_agreement(target, family, group, mode, prune)
+                    checked_violations += len(got.violations)
+    assert checked_structures >= 3
+    if relax:
+        assert checked_violations > 0
+
+
+def _undecided_duplicates(d1_cf, agent, targets):
+    """A copy of the counterfactual d1 in which one duplicate per target state
+    points the agent at that state alone, outside the agent's union closure."""
+    S = d1_cf.structure
+    relations = {i: set(S.relations[i]) for i in S.agents}
+    damaged = sorted(d1_cf.labels)[1::3][:len(targets)]
+    for lam, target in zip(damaged, targets):
+        relations[agent] = {(u, v) for u, v in relations[agent] if u != lam} | {(lam, target)}
+    built = CounterfactualStructure(
+        structure=InformationStructure(S.states, S.agents, relations, allow_plus_in_names=True),
+        actual=d1_cf.actual,
+        labels=d1_cf.labels,
+        origin=d1_cf.origin,
+    )
+    return built, damaged
+
+
+def test_missing_decision_raises_like_derive_action_function(d1, d1_cf):
+    # the first offending state in state order sees {w2}, a later one {w0}
+    built, damaged = _undecided_duplicates(d1_cf, "a", ["w2", "w0"])
+    assert not {ev("w0"), ev("w2")} & set(gamma(d1, "a"))
+    family = tuple(gamma_df(agent, {e: "x" for e in gamma(d1, agent)}) for agent in d1.agents)
+    with pytest.raises(DomainError) as expected:
+        derive_action_function(built, family[0])
+    assert f"state {damaged[0]!r}" in str(expected.value)
+    assert expected.value.event == ev("w2")
+    for group in (None, ["a"], ["b"]):
+        with pytest.raises(DomainError) as got:
+            check_agreement(built, family, group=group, mode="theorem2")
+        assert str(got.value) == str(expected.value)
+        assert got.value.event == expected.value.event
+
+
+def test_search_computes_structure_facts_once(monkeypatch):
+    flag_calls = Counter()
+    closure_builds = Counter()
+    agent_flags = structures.InformationStructure._agent_flags
+    union_closure = partitions._union_closure
+
+    def counting_flags(self, agent):
+        flag_calls[(id(self), agent)] += 1
+        return agent_flags(self, agent)
+
+    def counting_closure(cells):
+        closure_builds[cells] += 1
+        return union_closure(cells)
+
+    monkeypatch.setattr(structures.InformationStructure, "_agent_flags", counting_flags)
+    monkeypatch.setattr(partitions, "_union_closure", counting_closure)
+    source = make_d1()  # fresh, so nothing is cached yet
+    assert search_disagreement(source, 3) is None
+    assert flag_calls and max(flag_calls.values()) == 1
+    # gamma runs on the source only, which has one closure per agent
+    assert 1 <= sum(closure_builds.values()) <= len(source.agents)

@@ -26,6 +26,7 @@ from epistemic import (
     stp_completions,
     union_of_gammas,
 )
+from epistemic import decisions
 from generators import random_partitional
 
 
@@ -179,6 +180,18 @@ def test_stp_field_exact_above_six_states():
     assert [(v.events, v.union_event) for v in result] == [
         ((ev("s0"), ev("s1")), ev("s0", "s1"))
     ]
+
+
+def test_disjoint_families_shared_per_field_and_cap_never_cached():
+    masks = (0b0001, 0b0010, 0b0011, 0b0100, 0b1000, 0b1111)
+    for _ in range(2):
+        with pytest.raises(ResourceLimitError):
+            decisions._disjoint_families(masks, node_cap=3)
+    families = decisions._disjoint_families(masks)
+    assert families == (((0, 1), 2), ((0, 1, 3, 4), 5), ((2, 3, 4), 5))
+    assert decisions._disjoint_families(masks) is families
+    with pytest.raises(ResourceLimitError):
+        decisions._disjoint_families(masks, node_cap=3)
 
 
 def stp_field_bruteforce(field, table):

@@ -105,6 +105,17 @@ def test_gamma_cell_cap(d1, monkeypatch):
         resolve_max_cells()
 
 
+def test_gamma_cell_cap_checked_after_caching(d1, monkeypatch):
+    # d1 is a session fixture, so b's closure is already cached here
+    assert len(gamma(d1, "b")) == 7
+    assert gamma(d1, "b") is gamma(d1, "b")
+    with pytest.raises(ResourceLimitError):
+        gamma(d1, "b", max_cells=2)
+    monkeypatch.setenv("EPISTEMIC_MAX_CELLS", "2")
+    with pytest.raises(ResourceLimitError):
+        gamma(d1, "b")
+
+
 def test_is_possible_belief_d1(d1):
     assert is_possible_belief(d1, "a", ev("w0", "w1"))
     assert not is_possible_belief(d1, "a", d1.full_event)

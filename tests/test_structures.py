@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from epistemic import (
     InformationStructure,
     InputError,
+    RelationFlags,
     canonical_event_string,
     euclidean_counterexample,
     negative_introspection_counterexample,
@@ -288,6 +289,18 @@ def test_relation_properties_d1(d1):
     assert report.classification == "partitional"
     for flags in report.flags.values():
         assert flags.serial and flags.reflexive and flags.transitive and flags.euclidean
+
+
+def test_relation_properties_report_is_shared_read_only(d1):
+    report = d1.relation_properties()
+    with pytest.raises(TypeError):
+        report.flags["a"] = RelationFlags(False, False, False, False)
+    with pytest.raises(TypeError):
+        del report.flags["b"]
+    assert d1.relation_properties() == report
+    assert d1.is_partitional()
+    fresh = InformationStructure(d1.states, d1.agents, d1.relations)
+    assert fresh.relation_properties() == report
 
 
 def test_empty_relation_not_serial():
