@@ -29,7 +29,6 @@ GAMMA_KIND = "gamma"
 FIELD_KIND = "field"
 
 _FAMILY_NODE_CAP = 1_000_000
-_FAMILY_CACHE_SIZE = 64  # distinct fields whose disjoint families are kept
 
 
 @dataclass
@@ -176,7 +175,8 @@ def derive_action_function(target, df: DecisionFunction) -> ActionAssignment:
             raise PreconditionError("field-kind action functions require a partitional structure")
         carrier = target
     values: dict[str, str] = {}
-    for state, info in zip(carrier.states, carrier._agent_index(df.agent).info):
+    for state in carrier.states:
+        info = carrier.possibility_set(df.agent, state)
         try:
             values[state] = df.table[info]
         except KeyError:
@@ -246,7 +246,7 @@ def _field_setup(field: Iterable[Event], df: DecisionFunction):
     return events, masks
 
 
-@functools.lru_cache(maxsize=_FAMILY_CACHE_SIZE)  # every agent is checked on the same field
+@functools.lru_cache(maxsize=1)  # a search checks every agent of every family on one field
 def _disjoint_families(masks: tuple[int, ...], *, node_cap: int = _FAMILY_NODE_CAP):
     """Index tuples of pairwise-disjoint events (size >= 2) whose union is in the field."""
     by_mask = {m: k for k, m in enumerate(masks)}

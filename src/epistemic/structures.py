@@ -99,7 +99,6 @@ class PropertyReport:
 class AgentIndex:
     """One agent's possibility sets, computed once per structure."""
 
-    info: tuple[Event, ...]  # the possibility set of each state, by state index
     groups: tuple[tuple[Event, int, int], ...]  # (set, state mask, first state index), in state order
     cells: tuple[Event, ...]  # the distinct sets, sorted canonically
 
@@ -267,7 +266,6 @@ class InformationStructure:
         grouped = _grouped(self._succ[agent])
         sets = {succ: self._unmask(succ) for succ, _ in grouped}
         return AgentIndex(
-            info=tuple(sets[succ] for succ in self._succ[agent]),
             groups=tuple((sets[succ], states, (states & -states).bit_length() - 1) for succ, states in grouped),
             cells=tuple(sorted(sets.values(), key=canonical_event_string)),
         )
