@@ -28,6 +28,7 @@ from .structures import (
     Event,
     InformationStructure,
     PropertyReport,
+    _bits,
     canonical_event_string,
 )
 
@@ -239,6 +240,20 @@ def _verification_groups(agents: tuple[str, ...]) -> list[tuple[str, ...]]:
     return singletons + [agents]
 
 
+def label_block_mismatch(
+    domains: Mapping[str, Iterable[Event]],
+    bases: Iterable[str],
+    labels: Iterable[tuple[str, str, str]],
+) -> str | None:
+    """How the (agent, base, event string) label triples differ from one complete
+    block per agent and domain event, or None when they match exactly."""
+    expected = {(i, w, canonical_event_string(e)) for i, es in domains.items() for e in es for w in bases}
+    got = set(labels)
+    if got == expected:
+        return None
+    return f"missing {sorted(expected - got)[:3]}, unexpected {sorted(got - expected)[:3]}"
+
+
 def verify_counterfactual(
     source: InformationStructure, built: CounterfactualStructure
 ) -> VerificationReport:
@@ -247,44 +262,48 @@ def verify_counterfactual(
     Runs every structural check exactly, with an explicit witness on failure.
     The include-self reading of reachability components is reported as an
     advisory discrepancy rather than a failure; the successors-only reading is
-    the one verified.
+    the one verified. Every check reads the structure's successor and reach
+    masks; a witness is the lowest failing state, which is the first in name
+    order.
     """
     if built.origin != source:
         raise InputError("verification requires the structure the counterfactual was built from")
 
     S = built.structure
-    actual = built.actual
+    states = S.states
     agents = S.agents
-    lam = sorted(built.labels)
+    succ = S._succ
+    actual = S._mask(built.actual)
+    outside = ~actual
+    duplicates = S._full & outside
+    properties = S.relation_properties()
     checks: list[CheckResult] = []
 
     def add(name: str, passed: bool, detail: str = "", advisory: bool = False) -> None:
         checks.append(CheckResult(name=name, passed=passed, detail=detail, advisory=advisory))
 
+    def first(mask: int) -> str:
+        return states[next(_bits(mask))]
+
+    def event_string(mask: int) -> str:
+        return "+".join(states[k] for k in _bits(mask))
+
+    def unrealized(i: str, base: str, u: int) -> str | None:
+        """Why i does not believe exactly u at the duplicate labelled (i, base, u), or None."""
+        name = built._by_triple.get((i, base, event_string(u)))
+        if name is None:
+            return "missing duplicate"
+        return None if succ[i][S._index[name]] == u else f"belief at {name} differs"
+
     # ---- block bookkeeping -------------------------------------------------
     domains = {i: gamma(source, i) for i in agents}
-    expected = {
-        (i, w, canonical_event_string(e))
-        for i in agents
-        for e in domains[i]
-        for w in source.states
-    }
-    got = {(l.agent, l.base, canonical_event_string(l.event)) for l in built.labels.values()}
-    if got == expected:
-        add("lambda_blocks_complete", True,
-            f"{len(lam)} duplicates = sum over agents of |domain| x {len(actual)} originals")
-    else:
-        missing = sorted(expected - got)[:3]
-        extra = sorted(got - expected)[:3]
-        add("lambda_blocks_complete", False, f"missing {missing}, unexpected {extra}")
+    mismatch = label_block_mismatch(domains, source.states, built._by_triple)
+    add("lambda_blocks_complete", mismatch is None,
+        f"{len(built.labels)} duplicates = sum over agents of |domain| x {len(built.actual)} originals"
+        if mismatch is None else mismatch)
 
     bad_target = next(
-        (
-            (i, src, dst)
-            for i in agents
-            for (src, dst) in sorted(S.relations[i])
-            if dst not in actual
-        ),
+        ((i, states[k], first(row & outside)) for i in agents for k, row in enumerate(succ[i]) if row & outside),
         None,
     )
     add(
@@ -293,21 +312,34 @@ def verify_counterfactual(
         "" if bad_target is None else f"agent {bad_target[0]} pair {bad_target[1:]} points at a duplicate",
     )
 
-    restriction_ok = S.restricted_to(actual) == source
-    add("restriction_matches_source", restriction_ok,
-        "" if restriction_ok else "restricting to the actual states does not reproduce the source")
+    # No relation points into the duplicates (the constructor refuses one), so
+    # an actual state's row in the restriction is its row in S.
+    restricted = S.restricted_to(built.actual)._succ
+    drift = next(
+        ((i, w) for i in agents for w, row, src in zip(source.states, restricted[i], source._succ[i])
+         if row != src),
+        None,
+    )
+    add("restriction_matches_source", drift is None,
+        "" if drift is None else "restricting to the actual states does not reproduce the source")
 
     # ---- seriality / transitivity (and belief nesting) ----------------------
-    serial_witness = None
-    transitive_witness = None
-    for i in agents:
-        for w in S.states:
-            ps = S.possibility_set(i, w)
-            if not ps and serial_witness is None:
-                serial_witness = (i, w)
-            for v in sorted(ps):
-                if not S.possibility_set(i, v) <= ps and transitive_witness is None:
-                    transitive_witness = (i, w, v)
+    flags = properties.flags
+    serial_witness = next(
+        ((i, states[k]) for i in agents if not flags[i].serial for k, row in enumerate(succ[i]) if not row),
+        None,
+    )
+    transitive_witness = next(
+        (
+            (i, states[k], states[v])
+            for i in agents
+            if not flags[i].transitive
+            for k, row in enumerate(succ[i])
+            for v in _bits(row)
+            if succ[i][v] & ~row
+        ),
+        None,
+    )
     add("relations_serial", serial_witness is None,
         "" if serial_witness is None else f"agent {serial_witness[0]} has no successor at {serial_witness[1]}")
     add("belief_nesting", transitive_witness is None,
@@ -316,31 +348,27 @@ def verify_counterfactual(
              f"escapes the one at {transitive_witness[1]}")
 
     # ---- beliefs at actual states match the source ---------------------------
-    mismatch = next(
-        (
-            (i, w)
-            for i in agents
-            for w in sorted(actual)
-            if S.possibility_set(i, w) != source.possibility_set(i, w)
-        ),
-        None,
-    )
-    add("actual_beliefs_match_source", mismatch is None,
-        "" if mismatch is None else f"agent {mismatch[0]} at {mismatch[1]}")
+    add("actual_beliefs_match_source", drift is None,
+        "" if drift is None else f"agent {drift[0]} at {drift[1]}")
 
     # ---- reachability ---------------------------------------------------------
-    groups = _verification_groups(agents)
-    reach_witness = None
-    union_witness = None
-    for g in groups:
-        for w in S.states:
-            reach = S.component_successors(g, w)
-            if not reach <= actual and reach_witness is None:
-                reach_witness = (g, w, sorted(reach - actual)[0])
+    # States sharing a reach mask pass or fail together, so each distinct mask
+    # is tested once, at the first state that has it.
+    reach_witness = union_witness = None
+    for g in _verification_groups(agents):
+        seen = set()
+        for k, reach in enumerate(S._reach_masks(g)):
+            if reach in seen:
+                continue
+            seen.add(reach)
+            if reach & outside and reach_witness is None:
+                reach_witness = (g, states[k], first(reach & outside))
             for i in g:
-                covered = frozenset().union(*(S.possibility_set(i, v) for v in reach)) if reach else frozenset()
+                covered = 0
+                for v in _bits(reach):
+                    covered |= succ[i][v]
                 if covered != reach and union_witness is None:
-                    union_witness = (g, w, i)
+                    union_witness = (g, states[k], i)
     add("reach_stays_actual", reach_witness is None,
         "" if reach_witness is None
         else f"group {reach_witness[0]}: {reach_witness[2]} is reachable from {reach_witness[1]}")
@@ -349,99 +377,72 @@ def verify_counterfactual(
         else f"group {union_witness[0]}, agent {union_witness[2]}, start {union_witness[1]}")
     add(
         "include_self_reading_discrepancy",
-        not lam,
+        not duplicates,
         "under the include-self reading every duplicate belongs to its own component, "
         "which then leaves the actual states; the successors-only reading above is the verified one",
         advisory=True,
     )
 
     # ---- beliefs land in (and exhaust) the decision domains -------------------
-    domain_sets = {i: set(domains[i]) for i in agents}
+    domain_masks = {i: dict.fromkeys(S._mask(e) for e in domains[i]) for i in agents}  # in domain order
     stray = next(
-        (
-            (i, w)
-            for i in agents
-            for w in S.states
-            if S.possibility_set(i, w) not in domain_sets[i]
-        ),
+        ((i, states[k], row) for i in agents for k, row in enumerate(succ[i]) if row not in domain_masks[i]),
         None,
     )
     add("beliefs_in_decision_domain", stray is None,
-        "" if stray is None
-        else f"agent {stray[0]} at {stray[1]}: {canonical_event_string(S.possibility_set(stray[0], stray[1]))}")
+        "" if stray is None else f"agent {stray[0]} at {stray[1]}: {event_string(stray[2])}")
 
-    unrealized = None
-    for i in agents:
-        for e in domains[i]:
-            for w in sorted(e):
-                try:
-                    name = built.counterfactual_state(i, w, e)
-                except NotFoundError:
-                    unrealized = (i, e, "missing duplicate")
-                    break
-                if S.possibility_set(i, name) != e:
-                    unrealized = (i, e, f"belief at {name} differs")
-                    break
-            if unrealized:
-                break
-        if unrealized:
-            break
-    add("every_domain_event_realized", unrealized is None,
-        "" if unrealized is None
-        else f"agent {unrealized[0]}, event {canonical_event_string(unrealized[1])}: {unrealized[2]}")
+    gap = next(
+        (
+            (i, u, why)
+            for i in agents
+            for u in domain_masks[i]
+            for base in _bits(u)
+            for why in (unrealized(i, states[base], u),)
+            if why
+        ),
+        None,
+    )
+    add("every_domain_event_realized", gap is None,
+        "" if gap is None else f"agent {gap[0]}, event {event_string(gap[1])}: {gap[2]}")
 
     # ---- truth fails at every duplicate ---------------------------------------
-    deluded = all(name not in S.possibility_set(i, name) for name in lam for i in agents)
+    deluded = all(not succ[i][k] >> k & 1 for k in _bits(duplicates) for i in agents)
     t_witness = ""
-    if lam:
-        i0 = agents[0]
-        l0 = lam[0]
-        t_witness = (
-            f"e.g. agent {i0} at {l0} believes "
-            f"{canonical_event_string(S.possibility_set(i0, l0))} which excludes {l0}"
-        )
-    add("truth_fails_at_duplicates", deluded and bool(lam), t_witness)
+    if duplicates:
+        i0, k0 = agents[0], next(_bits(duplicates))
+        belief = event_string(succ[i0][k0])
+        t_witness = f"e.g. agent {i0} at {states[k0]} believes {belief} which excludes {states[k0]}"
+    add("truth_fails_at_duplicates", deluded and bool(duplicates), t_witness)
 
     # ---- secret-ignorance biconditional ----------------------------------------
     # (bel(w) | bel(w') <= E) <=> (bel(lambda) <= E) holds for every event E
     # exactly when the two masks are equal: take E to be each side in turn.
-    bel = {i: dict(zip(S.states, S._succ[i])) for i in agents}
-
-    def realized(i: str, base: str, u: int) -> bool:
-        """Whether the duplicate labelled (i, base, u) exists and i believes exactly u there."""
-        try:
-            name = built.counterfactual_state(i, base, S._unmask(u))
-        except NotFoundError:
-            return False
-        return bel[i][name] == u
-
-    omega_sorted = sorted(actual)
+    omega = list(_bits(actual))
     bi_witness = next(
         (
-            (i, w, wp)
+            (i, states[w], states[wp])
             for i in agents
-            for w, wp in itertools.product(omega_sorted, repeat=2)
-            if not realized(i, w, bel[i][w] | bel[i][wp])
+            for w, wp in itertools.product(omega, repeat=2)
+            if unrealized(i, states[w], succ[i][w] | succ[i][wp])
         ),
         None,
     )
     add("secret_ignorance_biconditional", bi_witness is None,
-        f"exact: checked as a mask equality for all {len(agents) * len(actual) ** 2} agent/base pairs"
+        f"exact: checked as a mask equality for all {len(agents) * len(omega) ** 2} agent/base pairs"
         if bi_witness is None else f"fails for agent/base pair {bi_witness}")
 
     # ---- pairwise union realizability (informational) ---------------------------
     # realized at the duplicate whose base is the union's first state; an empty
     # union has no realizing duplicate
     union_real = all(
-        u and realized(i, min(S._unmask(u)), u)
+        u and not unrealized(i, first(u), u)
         for i in agents
-        for a, b in itertools.combinations_with_replacement(sorted(set(bel[i].values())), 2)
-        for u in (a | b,)
+        for u in {a | b for a, b in itertools.combinations_with_replacement(set(succ[i]), 2)}
     )
     add("pairwise_union_realized", union_real, "exact over all unions of two belief sets",
         advisory=True)
 
-    properties = S.relation_properties()
     add("classification_in_belief_family",
         properties.classification in (CLASS_BELIEF, CLASS_KD4),
         f"classified as {properties.classification}")

@@ -386,48 +386,34 @@ def check_like_minded(
     if len(set(agents)) != len(agents):
         raise InputError("duplicate agent in decision family")
     kind = kinds.pop()
-    violations = []
-    if kind == GAMMA_KIND:
-        if structure is None:
-            raise InputError("gamma-kind like-mindedness needs the underlying structure")
-        domains = {}
-        for df in dfs:
+    if kind == GAMMA_KIND and structure is None:
+        raise InputError("gamma-kind like-mindedness needs the underlying structure")
+    domains: dict[str, set[Event]] = {}
+    tables: dict[str, dict[Event, str]] = {}
+    for df in dfs:
+        tables[df.agent] = df.table
+        if kind == GAMMA_KIND:
             domains[df.agent] = set(_validate_gamma_domain(structure, df, max_cells=max_cells))
-        by_agent = {df.agent: df for df in dfs}
-        for i, j in itertools.combinations(sorted(by_agent), 2):
-            for event in sorted(domains[i] & domains[j], key=canonical_event_string):
-                if by_agent[i].table[event] != by_agent[j].table[event]:
-                    violations.append(
-                        Violation(
-                            kind="like-minded",
-                            agents=(i, j),
-                            events=(event,),
-                            union_event=None,
-                            expected=by_agent[i].table[event],
-                            actual=by_agent[j].table[event],
-                        )
-                    )
-    else:
-        domain = set(dfs[0].table)
-        for df in dfs[1:]:
-            if set(df.table) != domain:
+        else:
+            domains[df.agent] = set(df.table)
+            if domains[df.agent] != domains[dfs[0].agent]:
                 raise InputError(
                     f"field decision functions must share one domain; agent {df.agent!r} differs"
                 )
-        ordered = sorted(dfs, key=lambda d: d.agent)
-        for a, b in itertools.combinations(ordered, 2):
-            for event in sorted(domain, key=canonical_event_string):
-                if a.table[event] != b.table[event]:
-                    violations.append(
-                        Violation(
-                            kind="like-minded",
-                            agents=(a.agent, b.agent),
-                            events=(event,),
-                            union_event=None,
-                            expected=a.table[event],
-                            actual=b.table[event],
-                        )
+    violations = []
+    for i, j in itertools.combinations(sorted(tables), 2):
+        for event in sorted(domains[i] & domains[j], key=canonical_event_string):
+            if tables[i][event] != tables[j][event]:
+                violations.append(
+                    Violation(
+                        kind="like-minded",
+                        agents=(i, j),
+                        events=(event,),
+                        union_event=None,
+                        expected=tables[i][event],
+                        actual=tables[j][event],
                     )
+                )
     return ViolationList(entries=tuple(violations))
 
 

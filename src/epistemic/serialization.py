@@ -18,7 +18,7 @@ import hashlib
 import json
 from typing import Sequence
 
-from .counterfactual import CounterfactualLabel, CounterfactualStructure
+from .counterfactual import CounterfactualLabel, CounterfactualStructure, label_block_mismatch
 from .decisions import DecisionFunction
 from .errors import EpistemicError, InputError, ParseError
 from .partitions import gamma
@@ -174,22 +174,13 @@ def _attach_provenance(structure: InformationStructure, provenance) -> Counterfa
         domains = {agent: gamma(origin, agent) for agent in origin.agents}
     except EpistemicError as exc:
         raise ParseError(str(exc)) from None
-    expected = {
-        (agent, base, canonical_event_string(event))
-        for agent, events in domains.items()
-        for event in events
-        for base in origin.states
-    }
-    got = {
-        (label.agent, label.base, canonical_event_string(label.event))
-        for label in labels.values()
-    }
-    if got != expected:
-        missing = sorted(expected - got)[:3]
-        extra = sorted(got - expected)[:3]
-        raise ParseError(
-            f"labels do not form complete duplicate blocks (missing {missing}, unexpected {extra})"
-        )
+    mismatch = label_block_mismatch(
+        domains,
+        origin.states,
+        ((label.agent, label.base, canonical_event_string(label.event)) for label in labels.values()),
+    )
+    if mismatch is not None:
+        raise ParseError(f"labels do not form complete duplicate blocks ({mismatch})")
     try:
         return CounterfactualStructure(
             structure=structure, actual=actual, labels=labels, origin=origin

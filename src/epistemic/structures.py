@@ -6,10 +6,10 @@ function of its inputs, so unrestricted concurrent reads are safe.
 
 Internally each event is a bitmask over the lexicographically sorted state
 list. That keeps intersection, union, subset and complement at machine-word
-cost and makes every derived output deterministic. The memo caches
-(belief images, and the per-structure index of classification, possibility
-sets, union closures and reachability) only ever store recomputable
-immutable values, so a racing recomputation is benign.
+cost and makes every derived output deterministic. The per-structure index
+(classification, possibility sets, union closures and reachability) only
+ever stores recomputable immutable values, so a racing recomputation is
+benign.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ CLASS_PARTITIONAL = "partitional"
 CLASS_BELIEF = "belief"
 CLASS_KD4 = "kd4"
 CLASS_OTHER = "other"
-
-_BELIEF_CACHE_LIMIT = 1 << 16
 
 _T = TypeVar("_T")
 
@@ -119,7 +117,6 @@ class InformationStructure:
         "_succ",
         "_full",
         "_pairs",
-        "_belief_cache",
         "_facts",
     )
 
@@ -179,7 +176,6 @@ class InformationStructure:
             pairs[agent] = frozenset(norm)
         self._succ = succ
         self._pairs = pairs
-        self._belief_cache: dict[tuple[str, int], int] = {}
         # The per-structure index: immutable facts keyed by ("report",), ("agent", a),
         # ("gamma", a), ("reach", *group) or ("reach_groups", *group), filled on first use.
         self._facts: dict[tuple[str, ...], object] = {}
@@ -271,17 +267,11 @@ class InformationStructure:
         )
 
     def _belief_mask(self, agent: str, emask: int) -> int:
-        key = (agent, emask)
-        cached = self._belief_cache.get(key)
-        if cached is not None:
-            return cached
         out = 0
         inv = ~emask
         for idx, succ in enumerate(self._succ[agent]):
             if succ & inv == 0:
                 out |= 1 << idx
-        if len(self._belief_cache) < _BELIEF_CACHE_LIMIT:
-            self._belief_cache[key] = out
         return out
 
     def belief(self, agent: str, event: Iterable[str]) -> Event:

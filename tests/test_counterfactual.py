@@ -6,6 +6,9 @@ import random
 import pytest
 
 from epistemic import (
+    CLASS_BELIEF,
+    CLASS_KD4,
+    CheckResult,
     CounterfactualStructure,
     InformationStructure,
     InputError,
@@ -13,6 +16,7 @@ from epistemic import (
     PreconditionError,
     ResourceLimitError,
     build_counterfactual,
+    canonical_event_string,
     counterfactual_state_name,
     equivalence_pairs,
     gamma,
@@ -20,6 +24,7 @@ from epistemic import (
     serialize_structure,
     verify_counterfactual,
 )
+from epistemic.counterfactual import _verification_groups
 from generators import random_partitional
 from test_acceptance import _verified_corpus
 
@@ -327,3 +332,247 @@ def test_exact_checks_match_their_definitions():
     # both checks are seen to pass and to fail, so the agreement is not vacuous
     assert all(seen == {True, False} for seen in outcomes.values())
     assert failed >= 190
+
+
+# ---------------------------------------------------------------------------
+# the mask verifier against the frozenset verifier it replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_verify(source, built):
+    """The verifier as it was written over frozensets, one possibility set per
+    state; returns its checks."""
+    S = built.structure
+    actual = built.actual
+    agents = S.agents
+    lam = sorted(built.labels)
+    checks = []
+
+    def add(name, passed, detail="", advisory=False):
+        checks.append(CheckResult(name=name, passed=passed, detail=detail, advisory=advisory))
+
+    domains = {i: gamma(source, i) for i in agents}
+    expected = {
+        (i, w, canonical_event_string(e))
+        for i in agents
+        for e in domains[i]
+        for w in source.states
+    }
+    got = {(l.agent, l.base, canonical_event_string(l.event)) for l in built.labels.values()}
+    if got == expected:
+        add("lambda_blocks_complete", True,
+            f"{len(lam)} duplicates = sum over agents of |domain| x {len(actual)} originals")
+    else:
+        missing = sorted(expected - got)[:3]
+        extra = sorted(got - expected)[:3]
+        add("lambda_blocks_complete", False, f"missing {missing}, unexpected {extra}")
+
+    bad_target = next(
+        (
+            (i, src, dst)
+            for i in agents
+            for (src, dst) in sorted(S.relations[i])
+            if dst not in actual
+        ),
+        None,
+    )
+    add(
+        "relations_target_actual",
+        bad_target is None,
+        "" if bad_target is None else f"agent {bad_target[0]} pair {bad_target[1:]} points at a duplicate",
+    )
+
+    restriction_ok = S.restricted_to(actual) == source
+    add("restriction_matches_source", restriction_ok,
+        "" if restriction_ok else "restricting to the actual states does not reproduce the source")
+
+    serial_witness = None
+    transitive_witness = None
+    for i in agents:
+        for w in S.states:
+            ps = S.possibility_set(i, w)
+            if not ps and serial_witness is None:
+                serial_witness = (i, w)
+            for v in sorted(ps):
+                if not S.possibility_set(i, v) <= ps and transitive_witness is None:
+                    transitive_witness = (i, w, v)
+    add("relations_serial", serial_witness is None,
+        "" if serial_witness is None else f"agent {serial_witness[0]} has no successor at {serial_witness[1]}")
+    add("belief_nesting", transitive_witness is None,
+        "" if transitive_witness is None
+        else f"agent {transitive_witness[0]}: possibility set at {transitive_witness[2]} "
+             f"escapes the one at {transitive_witness[1]}")
+
+    mismatch = next(
+        (
+            (i, w)
+            for i in agents
+            for w in sorted(actual)
+            if S.possibility_set(i, w) != source.possibility_set(i, w)
+        ),
+        None,
+    )
+    add("actual_beliefs_match_source", mismatch is None,
+        "" if mismatch is None else f"agent {mismatch[0]} at {mismatch[1]}")
+
+    reach_witness = None
+    union_witness = None
+    for g in _verification_groups(agents):
+        for w in S.states:
+            reach = S.component_successors(g, w)
+            if not reach <= actual and reach_witness is None:
+                reach_witness = (g, w, sorted(reach - actual)[0])
+            for i in g:
+                covered = frozenset().union(*(S.possibility_set(i, v) for v in reach)) if reach else frozenset()
+                if covered != reach and union_witness is None:
+                    union_witness = (g, w, i)
+    add("reach_stays_actual", reach_witness is None,
+        "" if reach_witness is None
+        else f"group {reach_witness[0]}: {reach_witness[2]} is reachable from {reach_witness[1]}")
+    add("reach_union_identity", union_witness is None,
+        "" if union_witness is None
+        else f"group {union_witness[0]}, agent {union_witness[2]}, start {union_witness[1]}")
+    add(
+        "include_self_reading_discrepancy",
+        not lam,
+        "under the include-self reading every duplicate belongs to its own component, "
+        "which then leaves the actual states; the successors-only reading above is the verified one",
+        advisory=True,
+    )
+
+    domain_sets = {i: set(domains[i]) for i in agents}
+    stray = next(
+        (
+            (i, w)
+            for i in agents
+            for w in S.states
+            if S.possibility_set(i, w) not in domain_sets[i]
+        ),
+        None,
+    )
+    add("beliefs_in_decision_domain", stray is None,
+        "" if stray is None
+        else f"agent {stray[0]} at {stray[1]}: {canonical_event_string(S.possibility_set(stray[0], stray[1]))}")
+
+    unrealized = None
+    for i in agents:
+        for e in domains[i]:
+            for w in sorted(e):
+                try:
+                    name = built.counterfactual_state(i, w, e)
+                except NotFoundError:
+                    unrealized = (i, e, "missing duplicate")
+                    break
+                if S.possibility_set(i, name) != e:
+                    unrealized = (i, e, f"belief at {name} differs")
+                    break
+            if unrealized:
+                break
+        if unrealized:
+            break
+    add("every_domain_event_realized", unrealized is None,
+        "" if unrealized is None
+        else f"agent {unrealized[0]}, event {canonical_event_string(unrealized[1])}: {unrealized[2]}")
+
+    deluded = all(name not in S.possibility_set(i, name) for name in lam for i in agents)
+    t_witness = ""
+    if lam:
+        i0 = agents[0]
+        l0 = lam[0]
+        t_witness = (
+            f"e.g. agent {i0} at {l0} believes "
+            f"{canonical_event_string(S.possibility_set(i0, l0))} which excludes {l0}"
+        )
+    add("truth_fails_at_duplicates", deluded and bool(lam), t_witness)
+
+    bel = {i: dict(zip(S.states, S._succ[i])) for i in agents}
+
+    def realized(i, base, u):
+        try:
+            name = built.counterfactual_state(i, base, S._unmask(u))
+        except NotFoundError:
+            return False
+        return bel[i][name] == u
+
+    omega_sorted = sorted(actual)
+    bi_witness = next(
+        (
+            (i, w, wp)
+            for i in agents
+            for w, wp in itertools.product(omega_sorted, repeat=2)
+            if not realized(i, w, bel[i][w] | bel[i][wp])
+        ),
+        None,
+    )
+    add("secret_ignorance_biconditional", bi_witness is None,
+        f"exact: checked as a mask equality for all {len(agents) * len(actual) ** 2} agent/base pairs"
+        if bi_witness is None else f"fails for agent/base pair {bi_witness}")
+
+    union_real = all(
+        u and realized(i, min(S._unmask(u)), u)
+        for i in agents
+        for a, b in itertools.combinations_with_replacement(sorted(set(bel[i].values())), 2)
+        for u in (a | b,)
+    )
+    add("pairwise_union_realized", union_real, "exact over all unions of two belief sets",
+        advisory=True)
+
+    properties = S.relation_properties()
+    add("classification_in_belief_family",
+        properties.classification in (CLASS_BELIEF, CLASS_KD4),
+        f"classified as {properties.classification}")
+    return tuple(checks)
+
+
+def _damaged(rng, built, kind):
+    """One of four damages to the relations of a counterfactual structure."""
+    S = built.structure
+    relations = {i: set(S.relations[i]) for i in S.agents}
+    agent = rng.choice(S.agents)
+    if kind == 0:  # drop one pair
+        relations[agent].discard(rng.choice(sorted(relations[agent])))
+    elif kind == 1:  # add a stray pair into the actual states
+        relations[agent].add((rng.choice(S.states), rng.choice(sorted(built.actual))))
+    elif kind == 2:  # empty one state's row for one agent
+        state = rng.choice(S.states)
+        relations[agent] = {pair for pair in relations[agent] if pair[0] != state}
+    else:  # drop three pairs
+        for _ in range(3):
+            agent = rng.choice(S.agents)
+            if relations[agent]:
+                relations[agent].discard(rng.choice(sorted(relations[agent])))
+    damaged = InformationStructure(S.states, S.agents, relations, allow_plus_in_names=True)
+    return CounterfactualStructure(
+        structure=damaged, actual=built.actual, labels=built.labels, origin=built.origin
+    )
+
+
+def _chain(n):
+    """n states; a pairs s0-s1, s2-s3, ..., b pairs s1-s2, ..., s(n-1)-s0."""
+    states = [f"s{k:02d}" for k in range(n)]
+    return InformationStructure(states, ["a", "b"], {
+        "a": equivalence_pairs([[states[k], states[k + 1]] for k in range(0, n, 2)]),
+        "b": equivalence_pairs([[states[k], states[(k + 1) % n]] for k in range(1, n, 2)]),
+    })
+
+
+def test_mask_verifier_matches_frozenset_reference():
+    rng = random.Random(107)
+    cases = []
+    for k, (S, built, _) in enumerate(_verified_corpus()):
+        cases.append((S, built))
+        cases.append((S, _damaged(rng, built, k % 4)))
+        # the bare source, with no duplicates: damage to the relations leaves
+        # the labels whole, so only this makes lambda_blocks_complete and
+        # truth_fails_at_duplicates fail
+        cases.append((S, CounterfactualStructure(structure=S, actual=S.states, labels={}, origin=S)))
+    cases.extend((S, build_counterfactual(S)) for S in map(_chain, (4, 6, 8)))
+    failing = set()
+    for S, built in cases:
+        checks = verify_counterfactual(S, built).checks
+        assert checks == reference_verify(S, built)
+        failing.update(c.name for c in checks if not c.passed and not c.advisory)
+    names = {c.name for c in checks if not c.advisory}
+    # The constructor refuses any relation into the duplicates, so no
+    # CounterfactualStructure can make these two checks fail.
+    assert names - failing == {"relations_target_actual", "reach_stays_actual"}
