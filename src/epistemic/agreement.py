@@ -32,6 +32,7 @@ from .decisions import (
     _undecided,
 )
 from .errors import InputError, PreconditionError
+from .partitions import resolve_max_cells
 from .structures import Event, InformationStructure
 
 MODE_THEOREM1 = "theorem1"
@@ -129,13 +130,15 @@ def check_agreement(
     mode: str = MODE_THEOREM2,
     *,
     prune: bool = True,
+    max_cells: int | None = None,
 ) -> AgreementVerdict:
     """Check every action profile of the family for commonly-believed disagreement.
 
     Profiles range over the actions actually appearing in each agent's table;
     other actions can only produce empty agreement events. With ``prune`` the
     common-belief computation is skipped for empty agreement events, which is
-    sound on serial structures and never changes the verdict.
+    sound on serial structures and never changes the verdict. ``max_cells``
+    is the cell cap of the theorem2 hypothesis checks, resolved once per call.
     """
     hyp: list = []
     if mode == MODE_THEOREM2:
@@ -144,9 +147,10 @@ def check_agreement(
         source = target.origin
         carrier = target.structure
         dfs = _normalize_family(carrier.agents, family, GAMMA_KIND)
-        hyp.extend(check_like_minded(source, dfs))
+        cap = resolve_max_cells(max_cells)
+        hyp.extend(check_like_minded(source, dfs, max_cells=cap))
         for df in dfs:
-            hyp.extend(check_stp_gamma(source, df))
+            hyp.extend(check_stp_gamma(source, df, max_cells=cap))
     elif mode == MODE_THEOREM1:
         if not isinstance(target, InformationStructure):
             raise InputError("theorem1 mode checks an information structure")
@@ -263,7 +267,7 @@ def search_disagreement(
     )
 
     for family in families:
-        verdict = check_agreement(check_target, family, group=group, mode=mode)
+        verdict = check_agreement(check_target, family, group=group, mode=mode, max_cells=max_cells)
         if verdict.violations:
             first = verdict.violations[0]
             return DisagreementWitness(

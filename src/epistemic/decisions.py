@@ -17,7 +17,7 @@ from typing import ClassVar, Iterable, Iterator, Mapping, Sequence
 
 from .counterfactual import CounterfactualStructure
 from .errors import DomainError, InputError, PreconditionError, ResourceLimitError
-from .partitions import gamma, partition
+from .partitions import gamma, partition, resolve_max_cells
 from .structures import (
     Event,
     InformationStructure,
@@ -137,21 +137,32 @@ def union_of_gammas(structure: InformationStructure, *, max_cells: int | None = 
     return tuple(sorted(events, key=canonical_event_string))
 
 
+def _domain(structure: InformationStructure, agent: str, max_cells: int | None) -> frozenset[Event]:
+    cells, domain = structure._memo(("domain", agent), lambda: (
+        len(partition(structure, agent)), frozenset(gamma(structure, agent, max_cells=max_cells))))
+    # Compared on every call, so a stored domain never bypasses the cap; gamma raises the error.
+    if cells > (resolve_max_cells() if max_cells is None else max_cells):
+        gamma(structure, agent, max_cells=max_cells)
+    return domain
+
+
+def _shared_events(structure: InformationStructure, i: str, j: str, max_cells: int | None) -> tuple[Event, ...]:
+    return structure._memo(("shared", i, j), lambda: tuple(sorted(
+        _domain(structure, i, max_cells) & _domain(structure, j, max_cells), key=canonical_event_string)))
+
+
 def _validate_gamma_domain(structure: InformationStructure, df: DecisionFunction,
-                           *, max_cells: int | None = None) -> tuple[Event, ...]:
+                           *, max_cells: int | None = None) -> None:
     if df.kind != GAMMA_KIND:
         raise InputError(f"expected a gamma-kind decision function for agent {df.agent!r}")
-    domain = gamma(structure, df.agent, max_cells=max_cells)
-    have = set(df.table)
-    want = set(domain)
-    if have != want:
-        missing = sorted(canonical_event_string(e) for e in want - have)[:3]
-        extra = sorted(canonical_event_string(e) for e in have - want)[:3]
+    domain = _domain(structure, df.agent, max_cells)
+    if df.table.keys() != domain:
+        missing = sorted(canonical_event_string(e) for e in domain - df.table.keys())[:3]
+        extra = sorted(canonical_event_string(e) for e in df.table.keys() - domain)[:3]
         raise InputError(
             f"gamma decision table for agent {df.agent!r} must cover the union closure exactly "
             f"(missing {missing}, extra {extra})"
         )
-    return domain
 
 
 def derive_action_function(target, df: DecisionFunction) -> ActionAssignment:
@@ -206,28 +217,30 @@ def check_stp_gamma(structure: InformationStructure, df: DecisionFunction,
     uniquely and the check is a direct sweep over cell subsets.
     """
     _validate_gamma_domain(structure, df, max_cells=max_cells)
-    cells = partition(structure, df.agent)
     violations = []
-    for r in range(2, len(cells) + 1):
-        for family in itertools.combinations(cells, r):
-            acts = {df.table[c] for c in family}
-            if len(acts) != 1:
-                continue
-            expected = next(iter(acts))
-            union = frozenset().union(*family)
-            actual = df.table[union]
-            if actual != expected:
-                violations.append(
-                    Violation(
-                        kind="stp",
-                        agents=(df.agent,),
-                        events=tuple(sorted(family, key=canonical_event_string)),
-                        union_event=union,
-                        expected=expected,
-                        actual=actual,
-                    )
+    for family, union in structure._memo(("stp", df.agent), lambda: _stp_pairs(partition(structure, df.agent))):
+        expected = df.table[family[0]]
+        actual = df.table[union]
+        if actual != expected and all(df.table[c] == expected for c in family[1:]):
+            violations.append(
+                Violation(
+                    kind="stp",
+                    agents=(df.agent,),
+                    events=family,
+                    union_event=union,
+                    expected=expected,
+                    actual=actual,
                 )
+            )
     return ViolationList(entries=tuple(violations))
+
+
+def _stp_pairs(cells: tuple[Event, ...]) -> tuple[tuple[tuple[Event, ...], Event], ...]:
+    """(cell family, union) for every family of two or more cells, in combinations order."""
+    return tuple(
+        (family, frozenset().union(*family))
+        for r in range(2, len(cells) + 1) for family in itertools.combinations(cells, r)
+    )
 
 
 def _field_setup(field: Iterable[Event], df: DecisionFunction):
@@ -388,21 +401,20 @@ def check_like_minded(
     kind = kinds.pop()
     if kind == GAMMA_KIND and structure is None:
         raise InputError("gamma-kind like-mindedness needs the underlying structure")
-    domains: dict[str, set[Event]] = {}
     tables: dict[str, dict[Event, str]] = {}
     for df in dfs:
         tables[df.agent] = df.table
         if kind == GAMMA_KIND:
-            domains[df.agent] = set(_validate_gamma_domain(structure, df, max_cells=max_cells))
-        else:
-            domains[df.agent] = set(df.table)
-            if domains[df.agent] != domains[dfs[0].agent]:
-                raise InputError(
-                    f"field decision functions must share one domain; agent {df.agent!r} differs"
-                )
+            _validate_gamma_domain(structure, df, max_cells=max_cells)
+        elif df.table.keys() != dfs[0].table.keys():
+            raise InputError(
+                f"field decision functions must share one domain; agent {df.agent!r} differs"
+            )
     violations = []
     for i, j in itertools.combinations(sorted(tables), 2):
-        for event in sorted(domains[i] & domains[j], key=canonical_event_string):
+        shared = (_shared_events(structure, i, j, max_cells) if kind == GAMMA_KIND
+                  else sorted(tables[i].keys() & tables[j].keys(), key=canonical_event_string))
+        for event in shared:
             if tables[i][event] != tables[j][event]:
                 violations.append(
                     Violation(
@@ -441,7 +453,11 @@ def stp_completions(
     cells = partition(structure, agent)
     if set(cell_values) != set(cells):
         raise InputError(f"cell values must cover agent {agent!r}'s cells exactly")
-    domain = gamma(structure, agent, max_cells=max_cells)
+    yield from _completions(cells, gamma(structure, agent, max_cells=max_cells), cell_values, acts)
+
+
+def _completions(cells: tuple[Event, ...], domain: tuple[Event, ...], cell_values: Mapping[Event, str],
+                 acts: tuple[str, ...]) -> Iterator[dict[Event, str]]:
     forced: dict[Event, str] = dict(cell_values)
     free: list[Event] = []
     for event in domain:
@@ -479,8 +495,7 @@ def _gamma_tables(
         raise ResourceLimitError(f"too many cell assignments for agent {agent!r}")
     tables = []
     for cell_combo in itertools.product(acts, repeat=len(cells)):
-        cell_values = dict(zip(cells, cell_combo))
-        for table in stp_completions(structure, agent, cell_values, acts, max_cells=max_cells):
+        for table in _completions(cells, domain, dict(zip(cells, cell_combo)), acts):
             tables.append(table)
             if len(tables) > max_families:
                 raise ResourceLimitError(f"too many principle-respecting tables for agent {agent!r}")
@@ -518,11 +533,8 @@ def enumerate_decision_profiles(
             total *= len(tables)
         if total > max_families:
             raise ResourceLimitError(f"{total} families exceed the cap of {max_families}")
-        domains = {a: set(gamma(structure, a, max_cells=max_cells)) for a in agents}
-        shared = {
-            (i, j): sorted(domains[i] & domains[j], key=canonical_event_string)
-            for i, j in itertools.combinations(agents, 2)
-        }
+        shared = {(i, j): _shared_events(structure, i, j, max_cells)
+                  for i, j in itertools.combinations(agents, 2)}
         for combo in itertools.product(*per_agent):
             tables = dict(zip(agents, combo))
             if like_minded and any(

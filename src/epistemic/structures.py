@@ -54,7 +54,7 @@ def parse_event_string(text: str) -> Event:
 def validate_token(name: str, kind: str, *, allow_plus: bool = True) -> None:
     if not isinstance(name, str) or not name:
         raise InputError(f"{kind} name must be a non-empty string, got {name!r}")
-    if any(c.isspace() or not c.isprintable() for c in name):
+    if not name.isprintable() or " " in name:  # the space is the one printable whitespace
         raise InputError(f"{kind} name {name!r} contains whitespace or unprintable characters")
     if not allow_plus and "+" in name:
         raise InputError(f"{kind} name {name!r} contains '+', which is reserved for event serialization")
@@ -176,8 +176,8 @@ class InformationStructure:
             pairs[agent] = frozenset(norm)
         self._succ = succ
         self._pairs = pairs
-        # The per-structure index: immutable facts keyed by ("report",), ("agent", a),
-        # ("gamma", a), ("reach", *group) or ("reach_groups", *group), filled on first use.
+        # The per-structure index: immutable facts keyed by ("report",), ("agent"|"gamma"|"domain"|"stp", a),
+        # ("shared", a, b), ("reach", *group) or ("reach_groups", *group), filled on first use.
         self._facts: dict[tuple[str, ...], object] = {}
 
     # -- basic accessors ---------------------------------------------------

@@ -31,7 +31,7 @@ from epistemic import (
     search_disagreement,
 )
 from epistemic import d1 as make_d1
-from epistemic import partitions, structures
+from epistemic import agreement, counterfactual, decisions, partitions, structures
 from generators import random_partitional
 
 
@@ -393,3 +393,57 @@ def test_search_computes_structure_facts_once(monkeypatch):
     assert flag_calls and max(flag_calls.values()) == 1
     # gamma runs on the source only, which has one closure per agent
     assert 1 <= sum(closure_builds.values()) <= len(source.agents)
+
+
+def test_search_reads_hypothesis_facts_from_the_index(monkeypatch):
+    calls = Counter()
+    fact_builds = Counter()
+
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    # rebind every module-level name the library calls these through
+    for name in ("gamma", "resolve_max_cells"):
+        wrapped = counting(name, getattr(partitions, name))
+        for module in (partitions, decisions, counterfactual, agreement):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapped)
+    monkeypatch.setattr(agreement, "check_agreement", counting("check_agreement", agreement.check_agreement))
+    memo = structures.InformationStructure._memo
+
+    def counting_memo(self, key, build):
+        def counted_build():
+            fact_builds[(id(self), key)] += 1
+            return build()
+        return memo(self, key, counted_build)
+
+    monkeypatch.setattr(structures.InformationStructure, "_memo", counting_memo)
+    source = make_d1()  # fresh, so nothing is cached yet
+    assert search_disagreement(source, 3) is None
+    assert calls["check_agreement"] == 6825
+    assert calls["gamma"] <= 10
+    assert calls["resolve_max_cells"] <= calls["check_agreement"] + 10
+    hypothesis_facts = {
+        key: count for key, count in fact_builds.items() if key[1][0] in ("domain", "stp", "shared")
+    }
+    # one domain and one set of pairs per agent, one overlap for the one pair of agents
+    assert sorted(key[1] for key in hypothesis_facts) == [
+        ("domain", "a"), ("domain", "b"), ("shared", "a", "b"), ("stp", "a"), ("stp", "b"),
+    ]
+    assert set(hypothesis_facts.values()) == {1}
+
+
+def test_search_passes_its_cell_cap_to_every_check(monkeypatch):
+    monkeypatch.setenv("EPISTEMIC_MAX_CELLS", "2")  # below agent b's 3 cells
+    assert search_disagreement(make_d1(), 1, max_cells=3) is None
+    assert search_disagreement(make_d1(), 2, relax=["stp"], max_cells=3) is not None
+    with pytest.raises(ResourceLimitError):
+        search_disagreement(make_d1(), 1)
+    built = build_counterfactual(make_d1(), max_cells=3)
+    family = next(enumerate_decision_profiles(built.origin, 1, max_cells=3))
+    assert check_agreement(built, family, max_cells=3).passed
+    with pytest.raises(ResourceLimitError):
+        check_agreement(built, family)

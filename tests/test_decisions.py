@@ -2,17 +2,22 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from epistemic import (
     DecisionFunction,
     DomainError,
+    EpistemicError,
     InformationStructure,
     InputError,
     PreconditionError,
     ResourceLimitError,
+    Violation,
+    ViolationList,
     build_counterfactual,
+    canonical_event_string,
     check_like_minded,
     check_stp_field,
     check_stp_gamma,
@@ -26,6 +31,7 @@ from epistemic import (
     stp_completions,
     union_of_gammas,
 )
+from epistemic import d1 as make_d1
 from epistemic import decisions
 from generators import random_partitional
 
@@ -328,6 +334,187 @@ def test_like_minded_rejects_mixed_kinds(d1):
     ]
     with pytest.raises(InputError):
         check_like_minded(d1, family)
+
+
+# ---------------------------------------------------------------------------
+# index-backed hypothesis checks against the set-based ones they replace
+# ---------------------------------------------------------------------------
+
+
+def reference_validate_gamma_domain(structure, df, *, max_cells=None):
+    """The domain check rebuilding the closure and the table's keys as sets on every call."""
+    if df.kind != "gamma":
+        raise InputError(f"expected a gamma-kind decision function for agent {df.agent!r}")
+    domain = gamma(structure, df.agent, max_cells=max_cells)
+    have = set(df.table)
+    want = set(domain)
+    if have != want:
+        missing = sorted(canonical_event_string(e) for e in want - have)[:3]
+        extra = sorted(canonical_event_string(e) for e in have - want)[:3]
+        raise InputError(
+            f"gamma decision table for agent {df.agent!r} must cover the union closure exactly "
+            f"(missing {missing}, extra {extra})"
+        )
+    return domain
+
+
+def reference_check_stp_gamma(structure, df, *, max_cells=None):
+    """The principle over cell combinations and unions formed anew on every call."""
+    reference_validate_gamma_domain(structure, df, max_cells=max_cells)
+    cells = partition(structure, df.agent)
+    violations = []
+    for r in range(2, len(cells) + 1):
+        for family in itertools.combinations(cells, r):
+            acts = {df.table[c] for c in family}
+            if len(acts) != 1:
+                continue
+            expected = next(iter(acts))
+            union = frozenset().union(*family)
+            actual = df.table[union]
+            if actual != expected:
+                violations.append(
+                    Violation(
+                        kind="stp",
+                        agents=(df.agent,),
+                        events=tuple(sorted(family, key=canonical_event_string)),
+                        union_event=union,
+                        expected=expected,
+                        actual=actual,
+                    )
+                )
+    return ViolationList(entries=tuple(violations))
+
+
+def reference_check_like_minded(structure, dfs, *, max_cells=None):
+    """Gamma-kind like-mindedness over domain intersections sorted on every call."""
+    domains = {}
+    tables = {}
+    for df in dfs:
+        tables[df.agent] = df.table
+        domains[df.agent] = set(reference_validate_gamma_domain(structure, df, max_cells=max_cells))
+    violations = []
+    for i, j in itertools.combinations(sorted(tables), 2):
+        for event in sorted(domains[i] & domains[j], key=canonical_event_string):
+            if tables[i][event] != tables[j][event]:
+                violations.append(
+                    Violation(
+                        kind="like-minded",
+                        agents=(i, j),
+                        events=(event,),
+                        union_event=None,
+                        expected=tables[i][event],
+                        actual=tables[j][event],
+                    )
+                )
+    return ViolationList(entries=tuple(violations))
+
+
+def outcome(check, *args, **kwargs):
+    """A check's violations in order, or the type and message of the error it raised."""
+    try:
+        return check(*args, **kwargs).entries
+    except EpistemicError as exc:
+        return type(exc), str(exc)
+
+
+def _multi_agent_structures(seed, count):
+    """Fresh 2-3-agent structures on 3-5 states, so nothing is cached yet."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        S = random_partitional(rng, max_states=5, max_agents=3, max_cells=3)
+        if len(S.agents) >= 2 and len(S.states) >= 3:
+            out.append(S)
+    return out
+
+
+def _same_cells_structure():
+    """Two agents sharing cells whose canonical order is not their size order."""
+    cells = [["s0", "s1", "s2"], ["s3"]]
+    states = ["s0", "s1", "s2", "s3"]
+    return InformationStructure(states, ["a", "b"], {a: equivalence_pairs(cells) for a in ("a", "b")})
+
+
+@pytest.mark.parametrize("seed", [71, 89, 97])
+def test_index_backed_hypotheses_match_set_based_reference(seed):
+    checked_structures = 0
+    kinds_seen = Counter()
+    for S in [*_multi_agent_structures(seed, count=10), _same_cells_structure()]:
+        try:
+            families = list(enumerate_decision_profiles(
+                S, 2, stp=False, like_minded=False, max_families=600,
+            ))
+        except ResourceLimitError:
+            continue
+        checked_structures += 1
+        for family in families:
+            got = outcome(check_like_minded, S, family)
+            assert got == outcome(reference_check_like_minded, S, family)
+            kinds_seen.update(v.kind for v in got)
+            for df in family:
+                got = outcome(check_stp_gamma, S, df)
+                assert got == outcome(reference_check_stp_gamma, S, df)
+                kinds_seen.update(v.kind for v in got)
+    assert checked_structures >= 3
+    assert kinds_seen["stp"] > 0 and kinds_seen["like-minded"] > 0
+
+
+def test_domain_mismatch_raises_like_set_based_reference():
+    raised = {"missing": 0, "extra": 0}
+    for S in _multi_agent_structures(53, count=6):
+        for agent in S.agents:
+            domain = gamma(S, agent)
+            outside = [e for e in powerset_field(S) if e not in domain]
+            tables = [
+                ("missing", {e: "x" for e in domain[1:]}),
+                ("missing", {e: "x" for e in domain[:-1]}),
+            ]
+            if outside:
+                tables.append(("extra", {**{e: "x" for e in domain}, outside[0]: "y"}))
+            for shape, table in tables:
+                df = gamma_df(agent, table)
+                family = [df] + [
+                    gamma_df(other, {e: "x" for e in gamma(S, other)})
+                    for other in S.agents if other != agent
+                ]
+                for check, reference, arg in (
+                    (check_stp_gamma, reference_check_stp_gamma, df),
+                    (check_like_minded, reference_check_like_minded, family),
+                ):
+                    got = outcome(check, S, arg)
+                    assert got == outcome(reference, S, arg)
+                    assert got[0] is InputError
+                    raised[shape] += 1
+    assert raised["missing"] > 0 and raised["extra"] > 0
+
+
+@pytest.mark.parametrize("cached", [False, True])
+def test_cell_cap_checked_before_and_after_facts_are_cached(cached, monkeypatch):
+    S = make_d1()  # fresh: agent b has 3 cells
+    family = constant_gamma_family(S, "x")
+    if cached:
+        assert check_like_minded(S, family).ok
+        assert check_stp_gamma(S, family[1]).ok
+    assert (("domain", "b") in S._facts) is cached
+    monkeypatch.delenv("EPISTEMIC_MAX_CELLS", raising=False)
+    for check, reference, arg in (
+        (check_stp_gamma, reference_check_stp_gamma, family[1]),
+        (check_like_minded, reference_check_like_minded, family),
+    ):
+        explicit = outcome(check, S, arg, max_cells=2)
+        assert explicit[0] is ResourceLimitError
+        assert explicit == outcome(reference, S, arg, max_cells=2)
+        for bad in (0, -1):
+            assert outcome(check, S, arg, max_cells=bad)[0] is InputError
+            assert outcome(check, S, arg, max_cells=bad) == outcome(reference, S, arg, max_cells=bad)
+        for env, expected in (("2", ResourceLimitError), ("zero", InputError), ("0", InputError)):
+            monkeypatch.setenv("EPISTEMIC_MAX_CELLS", env)
+            from_env = outcome(check, S, arg)
+            assert from_env[0] is expected
+            assert from_env == outcome(reference, S, arg)
+            # an explicit cap wins over the environment
+            assert outcome(check, S, arg, max_cells=3) == outcome(reference, S, arg, max_cells=3) == ()
+        monkeypatch.delenv("EPISTEMIC_MAX_CELLS")
 
 
 # ---------------------------------------------------------------------------

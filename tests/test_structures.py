@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from epistemic import (
     negative_introspection_counterexample,
     parse_event_string,
 )
+from epistemic.structures import validate_token
 from generators import (
     random_belief_structure,
     random_event,
@@ -360,6 +362,34 @@ def test_name_validation():
         InformationStructure(["w"], ["i"], {"i": [], "j": []})
     with pytest.raises(InputError):
         InformationStructure(["w"], ["i"], {"i": [("w", "v")]})
+
+
+def _rejected(name, **kwargs):
+    try:
+        validate_token(name, "state", **kwargs)
+    except InputError:
+        return True
+    return False
+
+
+def test_validate_token_matches_per_character_rule():
+    """Tokens are refused for any whitespace or unprintable character; the
+    check is whole-string, relying on the space being the one printable
+    whitespace code point."""
+    code_points = [chr(k) for k in range(sys.maxunicode + 1)]
+    bad = [c for c in code_points if c.isspace() or not c.isprintable()]
+    # the whole-string predicate agrees with the per-character rule on every code point
+    assert bad == [c for c in code_points if not c.isprintable() or " " in c]
+    bad_set = set(bad)
+    validate_token("".join(c for c in code_points if c not in bad_set), "state")
+    # every whitespace and Latin-1 refusal, and a spread sample of the rest
+    for c in [c for c in bad if c.isspace() or ord(c) < 0x100] + bad[::97]:
+        assert _rejected(c) and _rejected(f"w{c}0")
+    for name in ("a b", "a\tb", "a\xa0b", "a\u2028b", " w", "w\n"):
+        assert any(c.isspace() or not c.isprintable() for c in name)
+        assert _rejected(name)
+    assert _rejected("w+1", allow_plus=False)
+    assert not _rejected("w+1")
 
 
 def test_restricted_to(d1):
