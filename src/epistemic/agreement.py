@@ -17,19 +17,22 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .counterfactual import CounterfactualStructure, build_counterfactual
 from .decisions import (
     DecisionFunction,
     FIELD_KIND,
     GAMMA_KIND,
+    Violation,
     ViolationList,
     check_like_minded,
     check_stp_field,
     check_stp_gamma,
     enumerate_decision_profiles,
+    _disagreements,
     _undecided,
+    _validate_gamma_domain,
 )
 from .errors import InputError, PreconditionError
 from .partitions import resolve_max_cells
@@ -83,32 +86,49 @@ class DisagreementWitness:
     mode: str
     group: tuple[str, ...]
 
-    def replay(self, target) -> AgreementVerdict:
-        return check_agreement(target, self.family, group=self.group, mode=self.mode)
+    def replay(self, target, *, max_cells: int | None = None) -> AgreementVerdict:
+        """Check the witness family again; ``max_cells`` is the cap the search was given."""
+        return check_agreement(target, self.family, group=self.group, mode=self.mode, max_cells=max_cells)
 
 
-def agreement_event(
-    target,
-    assignments: Sequence,
-    group: Iterable[str],
-    profile: Mapping[str, str],
-) -> Event:
-    """States at which every group member takes exactly their profiled action."""
-    carrier = target.structure if isinstance(target, CounterfactualStructure) else target
-    members = carrier._group(group)
-    by_agent = {a.agent: a for a in assignments}
-    out = []
-    for agent in members:
-        if agent not in by_agent:
-            raise InputError(f"no action assignment for agent {agent!r}")
-        if agent not in profile:
-            raise InputError(f"profile does not cover agent {agent!r}")
-        if set(by_agent[agent].values) != set(carrier.states):
-            raise InputError(f"action assignment for agent {agent!r} is not total on the state set")
-    for state in carrier.states:
-        if all(by_agent[i].values[state] == profile[i] for i in members):
-            out.append(state)
-    return frozenset(out)
+@dataclass(frozen=True, slots=True)
+class _Compiled:
+    """What the profile loop reads of one agent's table on one carrier."""
+
+    origin: InformationStructure | None  # whose decision domain the table was checked on, theorem2 only
+    stp: tuple[Violation, ...]
+    actions: tuple[str, ...]  # the actions in the table, sorted
+    masks: tuple[int, ...]  # per action, the carrier states at which the agent takes it
+
+
+def _compile(carrier: InformationStructure, df: DecisionFunction,
+             origin: InformationStructure | None = None, stp: tuple[Violation, ...] = ()) -> _Compiled:
+    # One OR per possibility set, which the table must cover.
+    buckets: dict[str, int] = {}
+    for info, mask, first in carrier._agent_index(df.agent).groups:
+        action = df.table.get(info)
+        if action is None:
+            raise _undecided(df.agent, carrier.states[first], info)
+        buckets[action] = buckets.get(action, 0) | mask
+    actions = df.actions()
+    return _Compiled(origin, stp, actions, tuple(buckets.get(a, 0) for a in actions))
+
+
+def _compiled_gamma(target: CounterfactualStructure, df: DecisionFunction,
+                    order: tuple[Event, ...], cap: int) -> _Compiled:
+    """The validated gamma table's entry in the carrier's index, compiled on first use.
+
+    The key is the agent and the table's actions over its domain in canonical
+    order, so equal tables share an entry and a table edited in place gets a new one.
+    """
+    source, carrier = target.origin, target.structure
+
+    def build() -> _Compiled:
+        return _compile(carrier, df, source, check_stp_gamma(source, df, max_cells=cap).entries)
+
+    entry = carrier._memo(("table", df.agent, *map(df.table.__getitem__, order)), build)
+    # A carrier paired by hand with another origin reads none of this one's entries.
+    return entry if entry.origin is source else build()
 
 
 def _normalize_family(
@@ -148,9 +168,11 @@ def check_agreement(
         carrier = target.structure
         dfs = _normalize_family(carrier.agents, family, GAMMA_KIND)
         cap = resolve_max_cells(max_cells)
-        hyp.extend(check_like_minded(source, dfs, max_cells=cap))
-        for df in dfs:
-            hyp.extend(check_stp_gamma(source, df, max_cells=cap))
+        orders = [_validate_gamma_domain(source, df, max_cells=cap) for df in dfs]
+        hyp.extend(_disagreements(source, dfs, cap))
+        compiled = [_compiled_gamma(target, df, order, cap) for df, order in zip(dfs, orders)]
+        for entry in compiled:
+            hyp.extend(entry.stp)
     elif mode == MODE_THEOREM1:
         if not isinstance(target, InformationStructure):
             raise InputError("theorem1 mode checks an information structure")
@@ -162,31 +184,24 @@ def check_agreement(
         hyp.extend(check_like_minded(None, dfs))
         for df in dfs:
             hyp.extend(check_stp_field(field, df))
+        # Not stored: this is the caller's own structure, where entries would outlive the
+        # search, and a like-minded theorem1 stream yields a new shared table for every family.
+        compiled = [_compile(carrier, df) for df in dfs]
     else:
         raise InputError(f"unknown mode {mode!r}")
 
     members = carrier._group(group) if group is not None else carrier.agents
-    # Each agent's states by action: one OR per possibility set, which every table must cover.
-    masks_by_action: dict[str, dict[str, int]] = {}
-    for df in dfs:
-        buckets: dict[str, int] = {}
-        for info, mask, first in carrier._agent_index(df.agent).groups:
-            action = df.table.get(info)
-            if action is None:
-                raise _undecided(df.agent, carrier.states[first], info)
-            buckets[action] = buckets.get(action, 0) | mask
-        masks_by_action[df.agent] = buckets
-
-    df_by_agent = {df.agent: df for df in dfs}
-    action_ranges = [df_by_agent[a].actions() for a in members]
-    member_buckets = [masks_by_action[a] for a in members]
+    by_agent = {df.agent: entry for df, entry in zip(dfs, compiled)}
+    entries = [by_agent[a] for a in members]
     profiles_checked = 0
     violations: list[AgreementViolation] = []
-    for combo in itertools.product(*action_ranges):
+    # The two products run in step: each profile with its members' state masks.
+    for combo, masks in zip(itertools.product(*(e.actions for e in entries)),
+                            itertools.product(*(e.masks for e in entries))):
         profiles_checked += 1
         agreement = carrier._full
-        for buckets, action in zip(member_buckets, combo):
-            agreement &= buckets.get(action, 0)
+        for mask in masks:
+            agreement &= mask
             if not agreement:
                 break
         if prune and not agreement or len(set(combo)) == 1:

@@ -15,8 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import ClassVar, Iterable, Iterator, Mapping, Sequence
 
-from .counterfactual import CounterfactualStructure
-from .errors import DomainError, InputError, PreconditionError, ResourceLimitError
+from .errors import DomainError, InputError, ResourceLimitError
 from .partitions import gamma, partition, resolve_max_cells
 from .structures import (
     Event,
@@ -49,17 +48,16 @@ class DecisionFunction:
             normalized[frozenset(event)] = action
         self.table = normalized
 
+    @classmethod
+    def _built(cls, agent: str, kind: str, table: dict[Event, str]) -> DecisionFunction:
+        """A function from parts already normalized: a valid agent and kind,
+        frozenset events and validated actions. Equal to the normal build."""
+        df = cls.__new__(cls)
+        df.agent, df.kind, df.table = agent, kind, table
+        return df
+
     def actions(self) -> tuple[str, ...]:
         return tuple(sorted(set(self.table.values())))
-
-
-@dataclass
-class ActionAssignment:
-    """Per-state actions induced by a decision function: the action taken at
-    each state is the decision on the possibility set there."""
-
-    agent: str
-    values: dict[str, str]
 
 
 @dataclass(frozen=True)
@@ -137,25 +135,31 @@ def union_of_gammas(structure: InformationStructure, *, max_cells: int | None = 
     return tuple(sorted(events, key=canonical_event_string))
 
 
-def _domain(structure: InformationStructure, agent: str, max_cells: int | None) -> frozenset[Event]:
-    cells, domain = structure._memo(("domain", agent), lambda: (
-        len(partition(structure, agent)), frozenset(gamma(structure, agent, max_cells=max_cells))))
+def _domain(structure: InformationStructure, agent: str,
+            max_cells: int | None) -> tuple[tuple[Event, ...], frozenset[Event]]:
+    """The agent's union closure, in canonical order and as a set."""
+    def build():
+        order = gamma(structure, agent, max_cells=max_cells)
+        return len(partition(structure, agent)), order, frozenset(order)
+
+    cells, order, domain = structure._memo(("domain", agent), build)
     # Compared on every call, so a stored domain never bypasses the cap; gamma raises the error.
     if cells > (resolve_max_cells() if max_cells is None else max_cells):
         gamma(structure, agent, max_cells=max_cells)
-    return domain
+    return order, domain
 
 
 def _shared_events(structure: InformationStructure, i: str, j: str, max_cells: int | None) -> tuple[Event, ...]:
     return structure._memo(("shared", i, j), lambda: tuple(sorted(
-        _domain(structure, i, max_cells) & _domain(structure, j, max_cells), key=canonical_event_string)))
+        _domain(structure, i, max_cells)[1] & _domain(structure, j, max_cells)[1], key=canonical_event_string)))
 
 
 def _validate_gamma_domain(structure: InformationStructure, df: DecisionFunction,
-                           *, max_cells: int | None = None) -> None:
+                           *, max_cells: int | None = None) -> tuple[Event, ...]:
+    """Raise unless the table covers the agent's union closure exactly; return that closure."""
     if df.kind != GAMMA_KIND:
         raise InputError(f"expected a gamma-kind decision function for agent {df.agent!r}")
-    domain = _domain(structure, df.agent, max_cells)
+    order, domain = _domain(structure, df.agent, max_cells)
     if df.table.keys() != domain:
         missing = sorted(canonical_event_string(e) for e in domain - df.table.keys())[:3]
         extra = sorted(canonical_event_string(e) for e in df.table.keys() - domain)[:3]
@@ -163,36 +167,7 @@ def _validate_gamma_domain(structure: InformationStructure, df: DecisionFunction
             f"gamma decision table for agent {df.agent!r} must cover the union closure exactly "
             f"(missing {missing}, extra {extra})"
         )
-
-
-def derive_action_function(target, df: DecisionFunction) -> ActionAssignment:
-    """Turn a decision function into a per-state action assignment.
-
-    Gamma kind requires a counterfactual structure (whose source provides the
-    decision domain); field kind requires the partitional structure itself.
-    A state whose possibility set is missing from the table raises a
-    :class:`DomainError` naming the offending event, which is precisely the
-    definedness failure the counterfactual setup removes.
-    """
-    if df.kind == GAMMA_KIND:
-        if not isinstance(target, CounterfactualStructure):
-            raise InputError("gamma-kind action functions are derived on a counterfactual structure")
-        _validate_gamma_domain(target.origin, df)
-        carrier = target.structure
-    else:
-        if not isinstance(target, InformationStructure):
-            raise InputError("field-kind action functions are derived on the partitional structure")
-        if not target.is_partitional():
-            raise PreconditionError("field-kind action functions require a partitional structure")
-        carrier = target
-    values: dict[str, str] = {}
-    for state in carrier.states:
-        info = carrier.possibility_set(df.agent, state)
-        try:
-            values[state] = df.table[info]
-        except KeyError:
-            raise _undecided(df.agent, state, info) from None
-    return ActionAssignment(agent=df.agent, values=values)
+    return order
 
 
 def _undecided(agent: str, state: str, info: Event) -> DomainError:
@@ -401,18 +376,23 @@ def check_like_minded(
     kind = kinds.pop()
     if kind == GAMMA_KIND and structure is None:
         raise InputError("gamma-kind like-mindedness needs the underlying structure")
-    tables: dict[str, dict[Event, str]] = {}
     for df in dfs:
-        tables[df.agent] = df.table
         if kind == GAMMA_KIND:
             _validate_gamma_domain(structure, df, max_cells=max_cells)
         elif df.table.keys() != dfs[0].table.keys():
             raise InputError(
                 f"field decision functions must share one domain; agent {df.agent!r} differs"
             )
+    return ViolationList(entries=_disagreements(structure if kind == GAMMA_KIND else None, dfs, max_cells))
+
+
+def _disagreements(structure: InformationStructure | None, dfs: Sequence[DecisionFunction],
+                   max_cells: int | None) -> tuple[Violation, ...]:
+    """Like-mindedness of validated tables: gamma kind on ``structure``, field kind without."""
+    tables = {df.agent: df.table for df in dfs}
     violations = []
     for i, j in itertools.combinations(sorted(tables), 2):
-        shared = (_shared_events(structure, i, j, max_cells) if kind == GAMMA_KIND
+        shared = (_shared_events(structure, i, j, max_cells) if structure is not None
                   else sorted(tables[i].keys() & tables[j].keys(), key=canonical_event_string))
         for event in shared:
             if tables[i][event] != tables[j][event]:
@@ -426,7 +406,7 @@ def check_like_minded(
                         actual=tables[j][event],
                     )
                 )
-    return ViolationList(entries=tuple(violations))
+    return tuple(violations)
 
 
 # ---------------------------------------------------------------------------
@@ -543,9 +523,7 @@ def enumerate_decision_profiles(
                 for e in events
             ):
                 continue
-            yield tuple(
-                DecisionFunction(agent=a, kind=GAMMA_KIND, table=dict(tables[a])) for a in agents
-            )
+            yield tuple(DecisionFunction._built(a, GAMMA_KIND, dict(tables[a])) for a in agents)
         return
 
     if kind != FIELD_KIND:
@@ -577,9 +555,7 @@ def enumerate_decision_profiles(
             if stp and not respects_stp(combo):
                 continue
             table = dict(zip(domain, combo))
-            yield tuple(
-                DecisionFunction(agent=a, kind=FIELD_KIND, table=dict(table)) for a in agents
-            )
+            yield tuple(DecisionFunction._built(a, FIELD_KIND, dict(table)) for a in agents)
         return
     if count_one > max_families:
         raise ResourceLimitError(
@@ -590,7 +566,4 @@ def enumerate_decision_profiles(
     if total > max_families:
         raise ResourceLimitError(f"{total} families exceed the cap of {max_families}")
     for chosen in itertools.product(combos, repeat=len(agents)):
-        yield tuple(
-            DecisionFunction(agent=a, kind=FIELD_KIND, table=dict(zip(domain, c)))
-            for a, c in zip(agents, chosen)
-        )
+        yield tuple(DecisionFunction._built(a, FIELD_KIND, dict(zip(domain, c))) for a, c in zip(agents, chosen))

@@ -177,7 +177,8 @@ class InformationStructure:
         self._succ = succ
         self._pairs = pairs
         # The per-structure index: immutable facts keyed by ("report",), ("agent"|"gamma"|"domain"|"stp", a),
-        # ("shared", a, b), ("reach", *group) or ("reach_groups", *group), filled on first use.
+        # ("shared", a, b), ("reach", *group), ("reach_groups", *group) or, on a counterfactual carrier,
+        # ("table", a, *actions) for each distinct gamma table checked, filled on first use.
         self._facts: dict[tuple[str, ...], object] = {}
 
     # -- basic accessors ---------------------------------------------------

@@ -1,0 +1,83 @@
+"""Per-state oracles of the agreement kernel.
+
+``check_agreement`` reads each agent's states per action as bitmasks grouped
+by possibility set. These are the direct per-state definitions it replaced:
+the action an agent takes at each state, and the states at which a group
+takes a given profile. Tests compare the kernel against them.
+"""
+
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Sequence
+
+from epistemic import (
+    CounterfactualStructure,
+    DecisionFunction,
+    Event,
+    InformationStructure,
+    InputError,
+    PreconditionError,
+)
+from epistemic.decisions import GAMMA_KIND, _undecided, _validate_gamma_domain
+
+
+@dataclass
+class ActionAssignment:
+    """Per-state actions induced by a decision function: the action taken at
+    each state is the decision on the possibility set there."""
+
+    agent: str
+    values: dict[str, str]
+
+
+def derive_action_function(target, df: DecisionFunction) -> ActionAssignment:
+    """Turn a decision function into a per-state action assignment.
+
+    Gamma kind requires a counterfactual structure (whose source provides the
+    decision domain); field kind requires the partitional structure itself.
+    A state whose possibility set is missing from the table raises a
+    ``DomainError`` naming the offending event, which is precisely the
+    definedness failure the counterfactual setup removes.
+    """
+    if df.kind == GAMMA_KIND:
+        if not isinstance(target, CounterfactualStructure):
+            raise InputError("gamma-kind action functions are derived on a counterfactual structure")
+        _validate_gamma_domain(target.origin, df)
+        carrier = target.structure
+    else:
+        if not isinstance(target, InformationStructure):
+            raise InputError("field-kind action functions are derived on the partitional structure")
+        if not target.is_partitional():
+            raise PreconditionError("field-kind action functions require a partitional structure")
+        carrier = target
+    values: dict[str, str] = {}
+    for state in carrier.states:
+        info = carrier.possibility_set(df.agent, state)
+        try:
+            values[state] = df.table[info]
+        except KeyError:
+            raise _undecided(df.agent, state, info) from None
+    return ActionAssignment(agent=df.agent, values=values)
+
+
+def agreement_event(
+    target,
+    assignments: Sequence[ActionAssignment],
+    group: Iterable[str],
+    profile: Mapping[str, str],
+) -> Event:
+    """States at which every group member takes exactly their profiled action."""
+    carrier = target.structure if isinstance(target, CounterfactualStructure) else target
+    members = carrier._group(group)
+    by_agent = {a.agent: a for a in assignments}
+    out = []
+    for agent in members:
+        if agent not in by_agent:
+            raise InputError(f"no action assignment for agent {agent!r}")
+        if agent not in profile:
+            raise InputError(f"profile does not cover agent {agent!r}")
+        if set(by_agent[agent].values) != set(carrier.states):
+            raise InputError(f"action assignment for agent {agent!r} is not total on the state set")
+    for state in carrier.states:
+        if all(by_agent[i].values[state] == profile[i] for i in members):
+            out.append(state)
+    return frozenset(out)

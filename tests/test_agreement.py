@@ -1,13 +1,14 @@
 """Agreement verdicts and the disagreement search."""
 
 import itertools
+import json
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from epistemic import (
-    ActionAssignment,
     AgreementVerdict,
     AgreementViolation,
     CounterfactualStructure,
@@ -17,14 +18,13 @@ from epistemic import (
     InputError,
     ResourceLimitError,
     ViolationList,
-    agreement_event,
     build_counterfactual,
     check_agreement,
     check_like_minded,
     check_stp_field,
     check_stp_gamma,
-    derive_action_function,
     enumerate_decision_profiles,
+    equivalence_pairs,
     gamma,
     partition,
     powerset_field,
@@ -33,6 +33,7 @@ from epistemic import (
 from epistemic import d1 as make_d1
 from epistemic import agreement, counterfactual, decisions, partitions, structures
 from generators import random_partitional
+from oracles import ActionAssignment, agreement_event, derive_action_function
 
 
 def ev(*names):
@@ -411,7 +412,8 @@ def test_search_reads_hypothesis_facts_from_the_index(monkeypatch):
         for module in (partitions, decisions, counterfactual, agreement):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrapped)
-    monkeypatch.setattr(agreement, "check_agreement", counting("check_agreement", agreement.check_agreement))
+    for name in ("check_agreement", "check_stp_gamma"):
+        monkeypatch.setattr(agreement, name, counting(name, getattr(agreement, name)))
     memo = structures.InformationStructure._memo
 
     def counting_memo(self, key, build):
@@ -434,6 +436,16 @@ def test_search_reads_hypothesis_facts_from_the_index(monkeypatch):
         ("domain", "a"), ("domain", "b"), ("shared", "a", "b"), ("stp", "a"), ("stp", "b"),
     ]
     assert set(hypothesis_facts.values()) == {1}
+    # one compiled entry per distinct (agent, table) the search checks, each built once
+    distinct_tables = {
+        (df.agent, frozenset(df.table.items()))
+        for family in enumerate_decision_profiles(make_d1(), 3, stp=True, like_minded=True)
+        for df in family
+    }
+    compiled = [count for key, count in fact_builds.items() if key[1][0] == "table"]
+    assert len(distinct_tables) == len(compiled) == 996
+    assert set(compiled) == {1}
+    assert calls["check_stp_gamma"] == 996
 
 
 def test_search_passes_its_cell_cap_to_every_check(monkeypatch):
@@ -447,3 +459,188 @@ def test_search_passes_its_cell_cap_to_every_check(monkeypatch):
     assert check_agreement(built, family, max_cells=3).passed
     with pytest.raises(ResourceLimitError):
         check_agreement(built, family)
+
+
+def test_replay_uses_the_search_cell_cap(monkeypatch):
+    monkeypatch.setenv("EPISTEMIC_MAX_CELLS", "2")  # below agent b's 3 cells
+    witness = search_disagreement(make_d1(), 2, relax=["stp"], max_cells=3)
+    built = build_counterfactual(make_d1(), max_cells=3)
+    assert not witness.replay(built, max_cells=3).passed
+    with pytest.raises(ResourceLimitError):
+        witness.replay(built)
+
+
+# ---------------------------------------------------------------------------
+# compiled tables against the uncached path
+# ---------------------------------------------------------------------------
+
+
+def _compiled_keys(structure):
+    return [key for key in structure._facts if key[0] == "table"]
+
+
+def _relaxed_families(source, count):
+    return list(itertools.islice(enumerate_decision_profiles(source, 3, stp=False, like_minded=False), count))
+
+
+def test_table_edited_in_place_is_checked_as_edited():
+    built = build_counterfactual(make_d1())
+    family = _relaxed_families(built.origin, 1)[0]
+    before = check_agreement(built, family)
+    table = family[1].table
+    for event, action in zip(gamma(built.origin, "b"), itertools.cycle(["2", "0", "1"])):
+        table[event] = action
+    got = check_agreement(built, family)
+    assert got == check_agreement(build_counterfactual(make_d1()), family)
+    assert got == reference_check_agreement(built, family, built.structure.agents, "theorem2", True)
+    assert before.hypotheses_met and not got.hypotheses_met
+
+
+def test_equal_tables_in_another_insertion_order_share_one_entry():
+    built = build_counterfactual(make_d1())
+    for family in _relaxed_families(built.origin, 300)[::7]:
+        check_agreement(built, family)
+    entries = len(_compiled_keys(built.structure))
+    for family in _relaxed_families(built.origin, 300)[::7]:
+        # the same mappings inserted in reverse, and the same action sequence on reversed events
+        same = tuple(gamma_df(df.agent, dict(reversed(df.table.items()))) for df in family)
+        swapped = tuple(gamma_df(df.agent, dict(zip(reversed(df.table), df.table.values()))) for df in family)
+        assert check_agreement(built, same) == check_agreement(built, family)
+        for other in (same, swapped):
+            expected = reference_check_agreement(built, other, built.structure.agents, "theorem2", True)
+            assert check_agreement(built, other) == expected
+    assert len(_compiled_keys(built.structure)) > entries  # the swapped tables are new entries
+
+
+def test_agents_with_equal_action_sequences_keep_their_own_entries():
+    # both agents have three domain events, so one action sequence fits either table
+    S = InformationStructure(
+        ["w0", "w1", "w2", "w3"], ["a", "b"],
+        {"a": equivalence_pairs([["w0", "w1"], ["w2", "w3"]]),
+         "b": equivalence_pairs([["w0"], ["w1", "w2", "w3"]])},
+    )
+    built = build_counterfactual(S)
+    checked = 0
+    for family in enumerate_decision_profiles(S, 2):
+        sequences = {tuple(df.table[e] for e in gamma(S, df.agent)) for df in family}
+        if len(sequences) == 1:
+            got = check_agreement(built, family)
+            assert got == reference_check_agreement(built, family, S.agents, "theorem2", True)
+            checked += 1
+    assert checked == 8
+
+
+@pytest.mark.parametrize("via_env", [False, True])
+def test_cell_cap_checked_after_the_entry_is_stored(via_env, monkeypatch):
+    built = build_counterfactual(make_d1())
+    family = _relaxed_families(built.origin, 1)[0]
+    check_agreement(built, family, max_cells=3)
+    assert len(_compiled_keys(built.structure)) == 2
+    for _ in range(2):
+        with pytest.raises(ResourceLimitError):
+            if via_env:
+                monkeypatch.setenv("EPISTEMIC_MAX_CELLS", "2")
+                check_agreement(built, family)
+            else:
+                check_agreement(built, family, max_cells=2)
+
+
+def test_missing_possibility_set_raises_after_entries_are_stored():
+    built = build_counterfactual(make_d1())
+    family = _relaxed_families(built.origin, 1)[0]
+    check_agreement(built, family)
+    table = dict(family[1].table)
+    del table[ev("w1", "w2")]
+    damaged = (family[0], gamma_df("b", table))
+    with pytest.raises(InputError) as fresh:
+        check_agreement(build_counterfactual(make_d1()), damaged)
+    with pytest.raises(InputError) as got:
+        check_agreement(built, damaged)
+    assert str(got.value) == str(fresh.value) and "missing ['w1+w2']" in str(got.value)
+
+
+def test_undecided_state_raises_on_every_call_and_stores_nothing(d1, d1_cf):
+    built, damaged = _undecided_duplicates(d1_cf, "b", ["w1"])
+    family = tuple(gamma_df(agent, {e: "x" for e in gamma(d1, agent)}) for agent in d1.agents)
+    with pytest.raises(DomainError) as expected:
+        derive_action_function(built, family[1])
+    for _ in range(2):
+        with pytest.raises(DomainError) as got:
+            check_agreement(built, family)
+        assert str(got.value) == str(expected.value) and got.value.event == ev("w1")
+    assert _compiled_keys(built.structure) == [("table", "a", "x", "x", "x")]
+
+
+def test_carrier_paired_with_another_origin_reads_none_of_its_entries(d1):
+    # same states, agents and domain sizes as d1, but a's cells split differently
+    other = InformationStructure(
+        d1.states, d1.agents,
+        {"a": equivalence_pairs([["w0", "w2"], ["w1", "w3"]]), "b": d1.relations["b"]},
+    )
+    built = build_counterfactual(make_d1())
+    constant = tuple(gamma_df(agent, {e: "x" for e in gamma(other, agent)}) for agent in d1.agents)
+
+    def paired(cf):
+        return CounterfactualStructure(structure=cf.structure, actual=cf.actual, labels=cf.labels, origin=other)
+
+    with pytest.raises(DomainError) as fresh:
+        check_agreement(paired(build_counterfactual(make_d1())), constant)
+    assert check_agreement(built, tuple(gamma_df(df.agent, {e: "x" for e in gamma(d1, df.agent)})
+                                        for df in constant)).passed
+    with pytest.raises(DomainError) as got:
+        check_agreement(paired(built), constant)
+    assert str(got.value) == str(fresh.value)
+
+
+def test_compiled_entries_are_immutable():
+    built = build_counterfactual(make_d1())
+    for family in enumerate_decision_profiles(built.origin, 2):
+        check_agreement(built, family)
+    entries = [built.structure._facts[key] for key in _compiled_keys(built.structure)]
+    assert len(entries) == 8 + 128  # every table of a and of b
+    for entry in entries:
+        assert all(type(field) is tuple for field in (entry.stp, entry.actions, entry.masks))
+        with pytest.raises(AttributeError):
+            entry.masks = ()
+    assert any(entry.stp for entry in entries)
+
+
+def test_theorem1_search_stores_no_compiled_entry():
+    source = make_d1()
+    assert search_disagreement(source, 2, mode="theorem1") is None
+    assert search_disagreement(source, 2, mode="theorem1", relax=["stp"]) is not None
+    assert _compiled_keys(source) == []
+    built = build_counterfactual(source)
+    assert search_disagreement(built, 2) is None
+    assert len(_compiled_keys(built.structure)) == 6 + 50  # the stp tables of a and of b
+    assert _compiled_keys(source) == []
+
+
+# ---------------------------------------------------------------------------
+# the work counts the benchmark pins
+# ---------------------------------------------------------------------------
+
+
+def test_exhaustive_search_makes_the_pinned_checks(monkeypatch):
+    expected = json.loads((Path(__file__).resolve().parent.parent / "bench" / "expected.json").read_text())
+    pins = expected["workloads"]["exhaustive-search"]["every_seed"]["counts"]
+    calls = Counter()
+    check = agreement.check_agreement
+
+    def counting(*args, **kwargs):
+        verdict = check(*args, **kwargs)
+        calls["families"] += 1
+        calls["profiles"] += verdict.profiles_checked
+        return verdict
+
+    monkeypatch.setattr(agreement, "check_agreement", counting)
+    # the benchmark's inputs: d1 with 3 actions, and chain6 with 2
+    states = [f"s{k:02d}" for k in range(6)]
+    chain6 = InformationStructure(states, ["a", "b"], {
+        "a": equivalence_pairs([[states[k], states[k + 1]] for k in range(0, 6, 2)]),
+        "b": equivalence_pairs([[states[k], states[(k + 1) % 6]] for k in range(1, 6, 2)]),
+    })
+    assert search_disagreement(make_d1(), 3) is None
+    assert search_disagreement(chain6, 2) is None
+    assert calls["families"] == pins["decisions.families_enumerated"] == 8075
+    assert calls["profiles"] == pins["agreement.profiles_checked"] == 46427

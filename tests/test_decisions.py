@@ -22,18 +22,19 @@ from epistemic import (
     check_stp_field,
     check_stp_gamma,
     complete_stp_field,
-    derive_action_function,
     enumerate_decision_profiles,
     equivalence_pairs,
     gamma,
     partition,
     powerset_field,
+    search_disagreement,
     stp_completions,
     union_of_gammas,
 )
 from epistemic import d1 as make_d1
 from epistemic import decisions
 from generators import random_partitional
+from oracles import derive_action_function
 
 
 def ev(*names):
@@ -584,6 +585,48 @@ def test_enumeration_is_deterministic(d1):
     first = list(enumerate_decision_profiles(d1, 2, stp=True))
     second = list(enumerate_decision_profiles(d1, 2, stp=True))
     assert first == second
+
+
+@pytest.mark.parametrize("kind", ["gamma", "field"])
+@pytest.mark.parametrize("stp", [False, True])
+@pytest.mark.parametrize("like_minded", [False, True])
+def test_enumerated_functions_equal_the_normal_build(kind, stp, like_minded):
+    rng = random.Random(53)
+    checked = 0
+    for _ in range(12):
+        S = random_partitional(rng, max_states=4, max_agents=3, max_cells=3)
+        if len(S.agents) < 2:
+            continue
+        field = {"field": union_of_gammas(S)} if kind == "field" else {}
+        try:
+            families = list(enumerate_decision_profiles(
+                S, 2, kind=kind, stp=stp, like_minded=like_minded, max_families=600, **field))
+        except ResourceLimitError:
+            continue
+        checked += 1
+        tables = [df.table for family in families for df in family]
+        assert len({id(t) for t in tables}) == len(tables)  # every yielded table is its own dict
+        for family in families:
+            for df in family:
+                rebuilt = DecisionFunction(agent=df.agent, kind=df.kind, table=df.table)
+                assert df == rebuilt and type(df) is DecisionFunction
+                assert all(type(e) is frozenset for e in df.table)
+    assert checked >= 3
+
+
+def test_search_builds_no_decision_function_through_validation(monkeypatch):
+    calls = Counter()
+    post_init = DecisionFunction.__post_init__
+
+    def counting(self):
+        calls["post_init"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(DecisionFunction, "__post_init__", counting)
+    assert search_disagreement(make_d1(), 3) is None
+    assert calls["post_init"] == 0
+    gamma_df("a", {e: "x" for e in gamma(make_d1(), "a")})
+    assert calls["post_init"] == 1  # the counter sees a normal build
 
 
 def test_enumeration_cap(d1):
