@@ -97,12 +97,12 @@ class CounterfactualStructure:
                 raise InputError(f"duplicate label triple for {name!r} and {by_triple[key]!r}")
             by_triple[key] = name
         self._by_triple = by_triple
+        outside = ~structure._mask(self.actual)
         for agent in structure.agents:
-            for src, dst in structure.relations[agent]:
-                if dst not in self.actual:
-                    raise InputError(
-                        f"relation of agent {agent!r} points into the duplicates: ({src!r}, {dst!r})"
-                    )
+            for k, row in enumerate(structure._succ[agent]):
+                if row & outside:
+                    pair = (structure.states[k], structure.states[next(_bits(row & outside))])
+                    raise InputError(f"relation of agent {agent!r} points into the duplicates: {pair!r}")
 
     @property
     def lambda_states(self) -> frozenset[str]:
@@ -171,9 +171,7 @@ def build_counterfactual(
     if set(labels) & set(source.states):
         raise InputError("generated counterfactual names collide with original state names")
 
-    relations: dict[str, set[tuple[str, str]]] = {
-        i: set(source.relations[i]) for i in agents
-    }
+    relations = {i: set(pairs) for i, pairs in source.relations.items()}
     for name, label in labels.items():
         for i in agents:
             if i == label.agent:

@@ -63,7 +63,7 @@ def structure_to_document(value) -> dict:
         "states": list(value.states),
         "agents": list(value.agents),
         "relations": {
-            agent: [[u, v] for (u, v) in sorted(value.relations[agent])]
+            agent: [[u, v] for (u, v) in value._pairs_in(agent, value._full)]
             for agent in value.agents
         },
     }

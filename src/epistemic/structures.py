@@ -6,7 +6,9 @@ function of its inputs, so unrestricted concurrent reads are safe.
 
 Internally each event is a bitmask over the lexicographically sorted state
 list. That keeps intersection, union, subset and complement at machine-word
-cost and makes every derived output deterministic. The per-structure index
+cost and makes every derived output deterministic. Each relation is stored
+only as one successor mask per state; its ``(from, to)`` pairs are derived
+from the masks on demand, already in name order. The per-structure index
 (classification, possibility sets, union closures and reachability) only
 ever stores recomputable immutable values, so a racing recomputation is
 benign.
@@ -116,7 +118,6 @@ class InformationStructure:
         "_index",
         "_succ",
         "_full",
-        "_pairs",
         "_facts",
     )
 
@@ -157,10 +158,8 @@ class InformationStructure:
                 f"relations must be given for exactly the declared agents (missing {missing}, extra {extra})"
             )
         succ: dict[str, list[int]] = {}
-        pairs: dict[str, frozenset[tuple[str, str]]] = {}
         for agent in self.agents:
             masks = [0] * len(self.states)
-            norm = set()
             for pair in relations[agent]:
                 try:
                     src, dst = pair
@@ -171,11 +170,8 @@ class InformationStructure:
                 if dst not in self._index:
                     raise InputError(f"relation for agent {agent!r} references unknown state {dst!r}")
                 masks[self._index[src]] |= 1 << self._index[dst]
-                norm.add((src, dst))
             succ[agent] = masks
-            pairs[agent] = frozenset(norm)
         self._succ = succ
-        self._pairs = pairs
         # The per-structure index: immutable facts keyed by ("report",), ("agent"|"gamma"|"domain"|"stp", a),
         # ("shared", a, b), ("reach", *group), ("reach_groups", *group) or, on a counterfactual carrier,
         # ("table", a, *actions) for each distinct gamma table checked, filled on first use.
@@ -185,7 +181,8 @@ class InformationStructure:
 
     @property
     def relations(self) -> Mapping[str, frozenset[tuple[str, str]]]:
-        return self._pairs
+        """Each agent's relation pairs, derived afresh on every call."""
+        return {agent: frozenset(self._pairs_in(agent, self._full)) for agent in self.agents}
 
     @property
     def full_event(self) -> Event:
@@ -200,7 +197,7 @@ class InformationStructure:
         return (
             self.states == other.states
             and self.agents == other.agents
-            and self._pairs == other._pairs
+            and self._succ == other._succ
         )
 
     __hash__ = None  # mutable-looking equality; not meant to be a dict key
@@ -208,7 +205,7 @@ class InformationStructure:
     def __repr__(self) -> str:
         return (
             f"InformationStructure({len(self.states)} states, {len(self.agents)} agents, "
-            f"{sum(len(p) for p in self._pairs.values())} relation pairs)"
+            f"{sum(row.bit_count() for rows in self._succ.values() for row in rows)} relation pairs)"
         )
 
     # -- mask plumbing -----------------------------------------------------
@@ -232,6 +229,23 @@ class InformationStructure:
 
     def _unmask(self, mask: int) -> Event:
         return frozenset(self.states[i] for i in _bits(mask))
+
+    def _pairs_in(self, agent: str, keep: int) -> list[tuple[str, str]]:
+        """The agent's ``(from, to)`` pairs inside the state mask ``keep``, in index (= name) order.
+        A ``_bits`` step rescans a whole mask, so names are listed once per distinct row."""
+        states = self.states
+        succ = self._succ[agent]
+        targets: dict[int, list[str]] = {}
+        out: list[tuple[str, str]] = []
+        prev = names = None
+        rows = enumerate(succ) if keep == self._full else ((k, succ[k] & keep) for k in _bits(keep))
+        for k, row in rows:
+            if row != prev:  # carrier rows come in runs; comparing is cheaper than hashing
+                prev, names = row, targets.get(row)
+                if names is None:
+                    names = targets[row] = [states[v] for v in _bits(row)]
+            out.extend([(states[k], v) for v in names])
+        return out
 
     def _memo(self, key: tuple[str, ...], build: Callable[[], _T]) -> _T:
         """The fact stored under ``key``, built on first use."""
@@ -312,33 +326,29 @@ class InformationStructure:
         g = self._group(group)
         return self._unmask(self._common_belief_chain(g, self._mask(event))[-1])
 
-    def _union_succ(self, group: tuple[str, ...]) -> list[int]:
-        n = len(self.states)
-        merged = [0] * n
-        for agent in group:
-            succ = self._succ[agent]
-            for i in range(n):
-                merged[i] |= succ[i]
-        return merged
-
     def _reach_masks(self, group: tuple[str, ...]) -> tuple[int, ...]:
         """For every state, the set of states reachable by group chains of length >= 1."""
         return self._memo(("reach", *group), lambda: self._build_reach_masks(group))
 
     def _build_reach_masks(self, group: tuple[str, ...]) -> tuple[int, ...]:
-        adj = self._union_succ(group)
-        out: list[int] = []
-        for start in range(len(self.states)):
-            acc = adj[start]
-            frontier = acc
-            while frontier:
-                step = 0
-                for v in _bits(frontier):
-                    step |= adj[v]
-                frontier = step & ~acc
-                acc |= frontier
-            out.append(acc)
-        return tuple(out)
+        # A state's reach depends only on its group successor row, so each
+        # distinct row is searched once and states sharing it share the result.
+        adj = [0] * len(self.states)
+        for agent in group:
+            for i, row in enumerate(self._succ[agent]):
+                adj[i] |= row
+        reach: dict[int, int] = {}
+        for row in adj:
+            if row not in reach:
+                acc = frontier = row
+                while frontier:
+                    step = 0
+                    for v in _bits(frontier):
+                        step |= adj[v]
+                    frontier = step & ~acc
+                    acc |= frontier
+                reach[row] = acc
+        return tuple(reach[row] for row in adj)
 
     def component(self, group: Iterable[str], state: str) -> Event:
         """All states joined to ``state`` by a finite chain of group relations.
@@ -423,18 +433,9 @@ class InformationStructure:
     def restricted_to(self, states: Iterable[str]) -> InformationStructure:
         """Substructure on the given states, keeping only relation pairs inside them."""
         kept = set(states)
-        for s in kept:
-            self._state_index(s)
-        rels = {
-            agent: [(u, v) for (u, v) in sorted(self._pairs[agent]) if u in kept and v in kept]
-            for agent in self.agents
-        }
-        return InformationStructure(
-            kept,
-            self.agents,
-            rels,
-            allow_plus_in_names=any("+" in s for s in kept),
-        )
+        keep = self._mask(kept)
+        rels = {agent: self._pairs_in(agent, keep) for agent in self.agents}
+        return InformationStructure(kept, self.agents, rels, allow_plus_in_names=any("+" in s for s in kept))
 
 
 def euclidean_counterexample(

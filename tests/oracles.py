@@ -1,9 +1,12 @@
-"""Per-state oracles of the agreement kernel.
+"""Direct reference definitions that tests compare the mask code against.
 
 ``check_agreement`` reads each agent's states per action as bitmasks grouped
-by possibility set. These are the direct per-state definitions it replaced:
-the action an agent takes at each state, and the states at which a group
-takes a given profile. Tests compare the kernel against them.
+by possibility set. The first two oracles are the direct per-state
+definitions it replaced: the action an agent takes at each state, and the
+states at which a group takes a given profile. The last two are the
+structure operations as they were before relations were stored only as
+successor masks: one breadth-first search per state for the group reach, and
+a restriction that filters the sorted relation pairs.
 """
 
 from dataclasses import dataclass
@@ -81,3 +84,43 @@ def agreement_event(
         if all(by_agent[i].values[state] == profile[i] for i in members):
             out.append(state)
     return frozenset(out)
+
+
+def reach_masks_per_state(structure: InformationStructure, group: tuple[str, ...]) -> tuple[int, ...]:
+    """For every state, the states reachable by group chains of length >= 1,
+    found by one breadth-first search per state."""
+    n = len(structure.states)
+    adj = [0] * n
+    for agent in group:
+        succ = structure._succ[agent]
+        for i in range(n):
+            adj[i] |= succ[i]
+    out = []
+    for start in range(n):
+        acc = frontier = adj[start]
+        while frontier:
+            step = 0
+            for v in range(n):
+                if frontier >> v & 1:
+                    step |= adj[v]
+            frontier = step & ~acc
+            acc |= frontier
+        out.append(acc)
+    return tuple(out)
+
+
+def restricted_to_reference(structure: InformationStructure, states: Iterable[str]) -> InformationStructure:
+    """Substructure on the given states: the sorted relation pairs, filtered."""
+    kept = set(states)
+    for s in kept:
+        structure._state_index(s)
+    rels = {
+        agent: [(u, v) for (u, v) in sorted(structure.relations[agent]) if u in kept and v in kept]
+        for agent in structure.agents
+    }
+    return InformationStructure(
+        kept,
+        structure.agents,
+        rels,
+        allow_plus_in_names=any("+" in s for s in kept),
+    )

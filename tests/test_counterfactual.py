@@ -22,10 +22,12 @@ from epistemic import (
     gamma,
     negative_introspection_counterexample,
     serialize_structure,
+    structure_to_document,
     verify_counterfactual,
 )
 from epistemic.counterfactual import _verification_groups
-from generators import random_partitional
+from generators import random_partitional, random_structure
+from oracles import reach_masks_per_state, restricted_to_reference
 from test_acceptance import _verified_corpus
 
 
@@ -576,3 +578,77 @@ def test_mask_verifier_matches_frozenset_reference():
     # The constructor refuses any relation into the duplicates, so no
     # CounterfactualStructure can make these two checks fail.
     assert names - failing == {"relations_target_actual", "reach_stays_actual"}
+
+
+# ---------------------------------------------------------------------------
+# relations stored only as masks: reach and derived pairs against references
+# ---------------------------------------------------------------------------
+
+
+def test_reach_per_distinct_row_matches_per_state_reference():
+    rng = random.Random(108)
+    carriers = []
+    for k, (S, built, _) in enumerate(_verified_corpus()):
+        carriers += [S, built.structure, _damaged(rng, built, k % 4).structure]
+    carriers += [build_counterfactual(S).structure for S in map(_chain, (4, 6, 8))]
+    # arbitrary relations: not partitional, some rows empty
+    seeded = [random_structure(rng, max_states=8) for _ in range(60)]
+    assert any(not row for S in seeded for rows in S._succ.values() for row in rows)
+    carriers += seeded
+    for S in carriers:
+        for g in _verification_groups(S.agents):
+            reach = S._build_reach_masks(g)
+            assert reach == reach_masks_per_state(S, g)
+            # states with one group row share one reach object
+            rows = [0] * len(S.states)
+            for a in g:
+                rows = [r | s for r, s in zip(rows, S._succ[a])]
+            first = {}
+            assert all(reach[k] is reach[first.setdefault(row, k)] for k, row in enumerate(rows))
+
+
+def _pair_cases():
+    """The seed-103 corpus, source and carrier, then the chain 4/6/8 carriers."""
+    for S, built, _ in _verified_corpus():
+        yield S
+        yield built.structure
+    for S in map(_chain, (4, 6, 8)):
+        yield build_counterfactual(S).structure
+
+
+def test_derived_pairs_match_the_given_pairs_and_the_sorted_reference():
+    rng = random.Random(109)
+    for S in _pair_cases():
+        given = {i: {(w, v) for w in S.states for v in S.possibility_set(i, w)} for i in S.agents}
+        plus = any("+" in s for s in S.states)
+        backwards = {i: sorted(p, reverse=True) for i, p in given.items()}
+        T = InformationStructure(reversed(S.states), S.agents, backwards, allow_plus_in_names=plus)
+        assert T.relations == {i: frozenset(p) for i, p in given.items()}
+        assert T == S
+        for i, pairs in structure_to_document(T)["relations"].items():
+            pairs = [tuple(p) for p in pairs]
+            assert all(u < v for u, v in zip(pairs, pairs[1:])) and set(pairs) == given[i]
+        # equality is on relations, not on the order or repetition of the given pairs
+        twice = {i: list(p) + list(p)[:3] for i, p in given.items()}
+        assert InformationStructure(S.states, S.agents, twice, allow_plus_in_names=plus) == S
+        agent = rng.choice(S.agents)
+        for change in ({agent: given[agent] - {min(given[agent])}},
+                       {agent: given[agent] | {(S.states[0], S.states[-1]), (S.states[-1], S.states[0])}}):
+            if change[agent] != given[agent]:
+                assert InformationStructure(S.states, S.agents, {**given, **change}, allow_plus_in_names=plus) != S
+        for kept in (rng.sample(S.states, rng.randint(1, len(S.states))),
+                     [s for s in S.states if "+" not in s]):
+            sub = S.restricted_to(kept)
+            assert sub == restricted_to_reference(S, kept)
+            assert serialize_structure(sub) == serialize_structure(restricted_to_reference(S, kept))
+        kept = [S.states[0], "nowhere"]
+        with pytest.raises(InputError) as got:
+            S.restricted_to(kept)
+        with pytest.raises(InputError) as want:
+            restricted_to_reference(S, kept)
+        assert str(got.value) == str(want.value) == "unknown state 'nowhere'"
+
+
+def test_repr_counts_relation_pairs(d1, d1_cf):
+    assert repr(d1) == "InformationStructure(4 states, 2 agents, 14 relation pairs)"
+    assert repr(d1_cf.structure) == "InformationStructure(44 states, 2 agents, 182 relation pairs)"

@@ -1,7 +1,12 @@
 """Wire formats: canonical bytes, round trips, and rejection of bad documents."""
 
+import hashlib
+import importlib.util
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,6 +29,7 @@ from epistemic.cli import main
 from generators import random_partitional, random_structure
 
 GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_golden_bytes_d1(d1):
@@ -152,6 +158,56 @@ def test_provenance_incomplete_blocks_rejected(d1_cf):
     doc["provenance"]["labels"][0]["event"] = "w0"
     with pytest.raises(ParseError):
         parse_structure(json.dumps(doc))
+
+
+_INTO_DUPLICATES = """
+import sys
+from epistemic import ParseError, parse_structure
+try:
+    parse_structure(sys.stdin.read())
+except ParseError as exc:
+    print(exc)
+"""
+
+
+def test_relation_into_the_duplicates_is_named_independently_of_hash_seed(tmp_path, capsys, d1_cf):
+    doc = structure_to_document(d1_cf)
+    duplicates = [label["state"] for label in doc["provenance"]["labels"]][:3]
+    doc["relations"]["a"] += [[w, d] for d in duplicates for w in ("w0", "w1")]
+    text = json.dumps(doc)
+    messages = set()
+    for seed in ("1", "2", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(ROOT / "src")}
+        result = subprocess.run(
+            [sys.executable, "-c", _INTO_DUPLICATES], input=text, env=env,
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        messages.add(result.stdout)
+    # the first offending pair in name order: agent, then source, then target
+    assert messages == {"relation of agent 'a' points into the duplicates: ('w0', 'cf:a:w0:w0+w1')\n"}
+    path = tmp_path / "into_duplicates.json"
+    path.write_text(text, "utf-8")
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {messages.pop()}"
+
+
+def test_counterfactual_bytes_match_the_pinned_benchmark_digests(tmp_path, capsys, monkeypatch):
+    """`counterfactual -o` on the benchmark's chain inputs gives exactly the
+    bytes whose SHA-256 the benchmark pins for every seed."""
+    spec = importlib.util.spec_from_file_location("bench_inputs", ROOT / "bench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, inputs)  # its dataclasses look the module up
+    spec.loader.exec_module(inputs)
+    pinned = json.loads((ROOT / "bench" / "expected.json").read_text("utf-8"))
+    digests = pinned["workloads"]["cf-audit"]["every_seed"]["digests"]
+    assert inputs.CHAIN_SIZES == (4, 6, 8, 10, 12)
+    for n in inputs.CHAIN_SIZES:
+        item = inputs.chain(n)
+        path, out = tmp_path / f"{item.name}.json", tmp_path / f"{item.name}.cf.json"
+        path.write_text(item.text, "utf-8")
+        assert main(["counterfactual", str(path), "-o", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[f"{item.name}:counterfactual"]
+    capsys.readouterr()
 
 
 def test_structure_hash_tracks_value(d1):

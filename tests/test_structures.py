@@ -16,7 +16,9 @@ from epistemic import (
     euclidean_counterexample,
     negative_introspection_counterexample,
     parse_event_string,
+    serialize_structure,
 )
+from epistemic import d1 as make_d1
 from epistemic.structures import validate_token
 from generators import (
     random_belief_structure,
@@ -397,6 +399,23 @@ def test_restricted_to(d1):
     assert sub.states == ("w0", "w1")
     assert sub.relations["b"] == frozenset({("w0", "w0"), ("w1", "w1")})
     assert d1.restricted_to(d1.states) == d1
+
+
+def test_relations_are_stored_only_as_masks(d1):
+    assert "_pairs" not in InformationStructure.__slots__ and not hasattr(d1, "_pairs")
+
+
+def test_mutating_the_returned_relations_changes_nothing():
+    S = make_d1()
+    text = serialize_structure(S)
+    before = S.possibility_set("a", "w0")
+    S.relations["a"] = frozenset()
+    S.relations["b"] = frozenset({("w0", "w3")})
+    assert serialize_structure(S) == text
+    assert S == make_d1()
+    assert S.possibility_set("a", "w0") == before == frozenset({"w0", "w1"})
+    assert S.relations["a"] == make_d1().relations["a"]
+    assert S.relations is not S.relations
 
 
 def test_event_string_roundtrip():
