@@ -149,16 +149,15 @@ def check_agreement(
     group: Iterable[str] | None = None,
     mode: str = MODE_THEOREM2,
     *,
-    prune: bool = True,
     max_cells: int | None = None,
 ) -> AgreementVerdict:
     """Check every action profile of the family for commonly-believed disagreement.
 
     Profiles range over the actions actually appearing in each agent's table;
-    other actions can only produce empty agreement events. With ``prune`` the
-    common-belief computation is skipped for empty agreement events, which is
-    sound on serial structures and never changes the verdict. ``max_cells``
-    is the cell cap of the theorem2 hypothesis checks, resolved once per call.
+    other actions can only produce empty agreement events. The common-belief
+    computation is skipped for empty agreement events, which is sound on serial
+    structures and never changes the verdict. ``max_cells`` is the cell cap of
+    the theorem2 hypothesis checks, resolved once per call.
     """
     hyp: list = []
     if mode == MODE_THEOREM2:
@@ -204,7 +203,7 @@ def check_agreement(
             agreement &= mask
             if not agreement:
                 break
-        if prune and not agreement or len(set(combo)) == 1:
+        if not agreement or len(set(combo)) == 1:
             continue
         cb = carrier._common_belief_mask(members, agreement)
         if cb:

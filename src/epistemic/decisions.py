@@ -120,19 +120,15 @@ def powerset_field(structure: InformationStructure) -> tuple[Event, ...]:
     states = structure.states
     if len(states) > 16:
         raise ResourceLimitError(f"power-set field over {len(states)} states is too large")
-    out = []
-    for r in range(1, len(states) + 1):
-        out.extend(frozenset(c) for c in itertools.combinations(states, r))
-    return tuple(sorted(out, key=canonical_event_string))
+    return _compiled_field(frozenset(
+        frozenset(c) for r in range(1, len(states) + 1) for c in itertools.combinations(states, r)))[0]
 
 
 def union_of_gammas(structure: InformationStructure, *, max_cells: int | None = None) -> tuple[Event, ...]:
     """The union of every agent's decision domain; a restricted field that
     reproduces the classic definedness failures."""
-    events: set[Event] = set()
-    for agent in structure.agents:
-        events.update(gamma(structure, agent, max_cells=max_cells))
-    return tuple(sorted(events, key=canonical_event_string))
+    return _compiled_field(frozenset(
+        e for agent in structure.agents for e in gamma(structure, agent, max_cells=max_cells)))[0]
 
 
 def _domain(structure: InformationStructure, agent: str,
@@ -192,22 +188,12 @@ def check_stp_gamma(structure: InformationStructure, df: DecisionFunction,
     uniquely and the check is a direct sweep over cell subsets.
     """
     _validate_gamma_domain(structure, df, max_cells=max_cells)
-    violations = []
-    for family, union in structure._memo(("stp", df.agent), lambda: _stp_pairs(partition(structure, df.agent))):
-        expected = df.table[family[0]]
-        actual = df.table[union]
-        if actual != expected and all(df.table[c] == expected for c in family[1:]):
-            violations.append(
-                Violation(
-                    kind="stp",
-                    agents=(df.agent,),
-                    events=family,
-                    union_event=union,
-                    expected=expected,
-                    actual=actual,
-                )
-            )
-    return ViolationList(entries=tuple(violations))
+    pairs = structure._memo(("stp", df.agent), lambda: _stp_pairs(partition(structure, df.agent)))
+    return ViolationList(entries=tuple(
+        Violation(kind="stp", agents=(df.agent,), events=family, union_event=union,
+                  expected=expected, actual=actual)
+        for family, union, expected, actual in _stp_breaks(pairs, df.table)
+    ))
 
 
 def _stp_pairs(cells: tuple[Event, ...]) -> tuple[tuple[tuple[Event, ...], Event], ...]:
@@ -218,20 +204,27 @@ def _stp_pairs(cells: tuple[Event, ...]) -> tuple[tuple[tuple[Event, ...], Event
     )
 
 
-def _field_setup(field: Iterable[Event], df: DecisionFunction):
-    events = sorted({frozenset(e) for e in field}, key=canonical_event_string)
-    if not events:
-        raise InputError("field must contain at least one event")
-    if any(not e for e in events):
-        raise InputError("field events must be non-empty")
-    if set(df.table) != set(events):
-        raise InputError(
-            f"field decision table for agent {df.agent!r} must be total on the field exactly"
-        )
-    universe = sorted(frozenset().union(*events))
+def _stp_breaks(pairs, actions) -> Iterator[tuple]:
+    """(members, union, their action, the union's action) for every (members, union)
+    pair whose members all take one action and whose union takes another.
+
+    ``actions`` is looked up with what the pairs hold: a table for event pairs,
+    a sequence for index pairs.
+    """
+    for members, union in pairs:
+        expected = actions[members[0]]
+        actual = actions[union]
+        if actual != expected and all(actions[m] == expected for m in members[1:]):
+            yield members, union, expected, actual
+
+
+@functools.lru_cache(maxsize=1)  # a search reads one field for every agent of every family
+def _compiled_field(field: frozenset[Event]) -> tuple[tuple[Event, ...], tuple[int, ...], tuple[str, ...]]:
+    """The field's events in canonical order, their masks, and the states the mask bits stand for."""
+    events = tuple(sorted(field, key=canonical_event_string))
+    universe = tuple(sorted(frozenset().union(*events)))
     index = {s: k for k, s in enumerate(universe)}
-    masks = tuple(sum(1 << index[s] for s in e) for e in events)
-    return events, masks
+    return events, tuple(sum(1 << index[s] for s in e) for e in events), universe
 
 
 @functools.lru_cache(maxsize=1)  # a search checks every agent of every family on one field
@@ -269,24 +262,22 @@ def check_stp_field(field: Iterable[Event], df: DecisionFunction) -> ViolationLi
     """
     if df.kind != FIELD_KIND:
         raise InputError(f"expected a field-kind decision function for agent {df.agent!r}")
-    events, masks = _field_setup(field, df)
-    actions = [df.table[e] for e in events]
-    violations = []
-    for member_idx, union_idx in _disjoint_families(masks):
-        expected = actions[member_idx[0]]
-        actual = actions[union_idx]
-        if actual != expected and all(actions[k] == expected for k in member_idx[1:]):
-            violations.append(
-                Violation(
-                    kind="stp",
-                    agents=(df.agent,),
-                    events=tuple(events[k] for k in member_idx),
-                    union_event=events[union_idx],
-                    expected=expected,
-                    actual=actual,
-                )
-            )
-    return ViolationList(entries=tuple(violations))
+    field_set = frozenset(map(frozenset, field))
+    if not field_set:
+        raise InputError("field must contain at least one event")
+    if frozenset() in field_set:
+        raise InputError("field events must be non-empty")
+    if df.table.keys() != field_set:
+        raise InputError(
+            f"field decision table for agent {df.agent!r} must be total on the field exactly"
+        )
+    events, masks, _ = _compiled_field(field_set)
+    return ViolationList(entries=tuple(
+        Violation(kind="stp", agents=(df.agent,), events=tuple(events[k] for k in members),
+                  union_event=events[union], expected=expected, actual=actual)
+        for members, union, expected, actual
+        in _stp_breaks(_disjoint_families(masks), [df.table[e] for e in events])
+    ))
 
 
 def complete_stp_field(field: Iterable[Event], table: Mapping[Event, str]) -> dict[Event, str]:
@@ -296,55 +287,57 @@ def complete_stp_field(field: Iterable[Event], table: Mapping[Event, str]) -> di
     events and fills in their unions. A forced union that lies outside the
     field raises :class:`DomainError` naming it; that is the definedness
     failure of restricted fields. A forced value that contradicts an existing
-    one raises :class:`InputError`.
+    one raises :class:`InputError`. Searches that visit more than
+    ``_FAMILY_NODE_CAP`` nodes in all raise :class:`ResourceLimitError`.
     """
-    events = sorted({frozenset(e) for e in field}, key=canonical_event_string)
-    if any(not e for e in events):
+    field_set = frozenset(map(frozenset, field))
+    if frozenset() in field_set:
         raise InputError("field events must be non-empty")
-    field_set = set(events)
     out = {frozenset(e): a for e, a in table.items()}
     for e in out:
         if e not in field_set:
             raise InputError(f"table event {canonical_event_string(e)} is not in the field")
+    events, masks, universe = _compiled_field(field_set)
+    by_mask = {m: k for k, m in enumerate(masks)}
+    nodes = 0
+
+    def fill(union: int, action: str) -> None:
+        nonlocal changed
+        k = by_mask.get(union)
+        if k is None:
+            event = frozenset(s for b, s in enumerate(universe) if union >> b & 1)
+            raise DomainError(
+                f"the principle forces a decision on {canonical_event_string(event)}, "
+                f"which is outside the field",
+                event=event,
+            )
+        event = events[k]
+        if event not in out:
+            out[event] = action
+            changed = True
+        elif out[event] != action:
+            raise InputError(f"table already violates the principle at {canonical_event_string(event)}")
+
+    def search(start: int, union: int, action: str | None) -> None:
+        # Depth first in canonical order; every family of two or more is filled in as it is found.
+        nonlocal nodes
+        for k in range(start, len(valued)):
+            mask, value = valued[k]
+            if mask & union or action is not None and value != action:
+                continue
+            nodes += 1
+            if nodes > _FAMILY_NODE_CAP:
+                raise ResourceLimitError(f"completion search passed {_FAMILY_NODE_CAP} nodes")
+            if action is not None:
+                fill(union | mask, value)
+            search(k + 1, union | mask, value)
 
     changed = True
     while changed:
         changed = False
-        valued = sorted(out, key=canonical_event_string)
-        universe = sorted(frozenset().union(*valued)) if valued else []
-        index = {s: k for k, s in enumerate(universe)}
-        masks = [sum(1 << index[s] for s in e) for e in valued]
-        uniform: list[tuple[tuple[int, ...], Event]] = []
-
-        def recurse(start: int, chosen: list[int], union: int, action: str | None):
-            for k in range(start, len(valued)):
-                if masks[k] & union:
-                    continue
-                if action is not None and out[valued[k]] != action:
-                    continue
-                chosen.append(k)
-                if len(chosen) >= 2:
-                    members = frozenset().union(*(valued[j] for j in chosen))
-                    uniform.append((tuple(chosen), members))
-                recurse(k + 1, chosen, union | masks[k], out[valued[k]])
-                chosen.pop()
-
-        recurse(0, [], 0, None)
-        for member_idx, union_event in uniform:
-            action = out[valued[member_idx[0]]]
-            if union_event not in field_set:
-                raise DomainError(
-                    f"the principle forces a decision on {canonical_event_string(union_event)}, "
-                    f"which is outside the field",
-                    event=union_event,
-                )
-            if union_event not in out:
-                out[union_event] = action
-                changed = True
-            elif out[union_event] != action:
-                raise InputError(
-                    f"table already violates the principle at {canonical_event_string(union_event)}"
-                )
+        # Values taken at the start of the round: a union filled in joins the search next round.
+        valued = [(masks[k], out[e]) for k, e in enumerate(events) if e in out]
+        search(0, 0, None)
     return out
 
 
@@ -392,8 +385,9 @@ def _disagreements(structure: InformationStructure | None, dfs: Sequence[Decisio
     tables = {df.agent: df.table for df in dfs}
     violations = []
     for i, j in itertools.combinations(sorted(tables), 2):
+        # Field tables share one domain, which check_like_minded has verified.
         shared = (_shared_events(structure, i, j, max_cells) if structure is not None
-                  else sorted(tables[i].keys() & tables[j].keys(), key=canonical_event_string))
+                  else _compiled_field(frozenset(tables[i]))[0])
         for event in shared:
             if tables[i][event] != tables[j][event]:
                 violations.append(
@@ -528,18 +522,15 @@ def enumerate_decision_profiles(
 
     if kind != FIELD_KIND:
         raise InputError(f"unknown decision kind {kind!r}")
-    domain = tuple(sorted({frozenset(e) for e in (field if field is not None else powerset_field(structure))},
-                          key=canonical_event_string))
-    if any(not e or not e <= set(structure.states) for e in domain):
+    field_set = frozenset(map(frozenset, field if field is not None else powerset_field(structure)))
+    domain, masks, universe = _compiled_field(field_set)
+    if frozenset() in field_set or not set(universe) <= set(structure.states):
         raise InputError("field events must be non-empty subsets of the state set")
     count_one = len(acts) ** len(domain)
-    families_idx: tuple[tuple[tuple[int, ...], int], ...] = ()
-    if stp:
-        universe = sorted(frozenset().union(*domain))
-        index = {s: k for k, s in enumerate(universe)}
-        masks = tuple(sum(1 << index[s] for s in e) for e in domain)
-        families_idx = _disjoint_families(masks)
+    families_idx = _disjoint_families(masks) if stp else ()
 
+    # Inline, not through _stp_breaks: this runs once per candidate table (984k times
+    # in one witness-sweep round), and the generator made that workload about 5% slower.
     def respects_stp(combo: tuple[str, ...]) -> bool:
         for member_idx, union_idx in families_idx:
             first = combo[member_idx[0]]

@@ -388,18 +388,18 @@ class InformationStructure:
     # -- relation properties -------------------------------------------------
 
     def _agent_flags(self, agent: str) -> RelationFlags:
+        # Each property but reflexivity depends on the row alone, so each distinct row is tested once.
         succ = self._succ[agent]
-        n = len(self.states)
-        serial = all(succ[i] for i in range(n))
-        reflexive = all(succ[i] >> i & 1 for i in range(n))
+        rows = _grouped(succ)
+        serial = all(row for row, _ in rows)
+        reflexive = all(states & ~row == 0 for row, states in rows)
         transitive = True
         euclidean = True
-        for i in range(n):
-            si = succ[i]
-            for j in _bits(si):
-                if succ[j] & ~si:
+        for row, _ in rows:
+            for j in _bits(row):
+                if succ[j] & ~row:
                     transitive = False
-                if si & ~succ[j]:
+                if row & ~succ[j]:
                     euclidean = False
             if not (transitive or euclidean):
                 break

@@ -6,7 +6,10 @@ definitions it replaced: the action an agent takes at each state, and the
 states at which a group takes a given profile. The last two are the
 structure operations as they were before relations were stored only as
 successor masks: one breadth-first search per state for the group reach, and
-a restriction that filters the sorted relation pairs.
+a restriction that filters the sorted relation pairs. The last is the
+principle's completion on a field as it was before fields were compiled once:
+every round re-indexes the valued events and collects every same-action
+family before filling any union in.
 """
 
 from dataclasses import dataclass
@@ -15,10 +18,12 @@ from typing import Iterable, Mapping, Sequence
 from epistemic import (
     CounterfactualStructure,
     DecisionFunction,
+    DomainError,
     Event,
     InformationStructure,
     InputError,
     PreconditionError,
+    canonical_event_string,
 )
 from epistemic.decisions import GAMMA_KIND, _undecided, _validate_gamma_domain
 
@@ -124,3 +129,57 @@ def restricted_to_reference(structure: InformationStructure, states: Iterable[st
         rels,
         allow_plus_in_names=any("+" in s for s in kept),
     )
+
+
+def complete_stp_field_reference(field: Iterable[Event], table: Mapping[Event, str]) -> dict[Event, str]:
+    """The principle's forced values on a field, found round by round: each
+    round collects every disjoint same-action family of valued events, then
+    fills in their unions in the order found."""
+    events = sorted({frozenset(e) for e in field}, key=canonical_event_string)
+    if any(not e for e in events):
+        raise InputError("field events must be non-empty")
+    field_set = set(events)
+    out = {frozenset(e): a for e, a in table.items()}
+    for e in out:
+        if e not in field_set:
+            raise InputError(f"table event {canonical_event_string(e)} is not in the field")
+
+    changed = True
+    while changed:
+        changed = False
+        valued = sorted(out, key=canonical_event_string)
+        universe = sorted(frozenset().union(*valued)) if valued else []
+        index = {s: k for k, s in enumerate(universe)}
+        masks = [sum(1 << index[s] for s in e) for e in valued]
+        uniform: list[tuple[tuple[int, ...], Event]] = []
+
+        def recurse(start: int, chosen: list[int], union: int, action: str | None):
+            for k in range(start, len(valued)):
+                if masks[k] & union:
+                    continue
+                if action is not None and out[valued[k]] != action:
+                    continue
+                chosen.append(k)
+                if len(chosen) >= 2:
+                    members = frozenset().union(*(valued[j] for j in chosen))
+                    uniform.append((tuple(chosen), members))
+                recurse(k + 1, chosen, union | masks[k], out[valued[k]])
+                chosen.pop()
+
+        recurse(0, [], 0, None)
+        for member_idx, union_event in uniform:
+            action = out[valued[member_idx[0]]]
+            if union_event not in field_set:
+                raise DomainError(
+                    f"the principle forces a decision on {canonical_event_string(union_event)}, "
+                    f"which is outside the field",
+                    event=union_event,
+                )
+            if union_event not in out:
+                out[union_event] = action
+                changed = True
+            elif out[union_event] != action:
+                raise InputError(
+                    f"table already violates the principle at {canonical_event_string(union_event)}"
+                )
+    return out

@@ -1,5 +1,8 @@
 """The benchmark harness's own self-tests, run as part of the suite."""
 
+import contextlib
+import io
+import json
 import re
 import subprocess
 import sys
@@ -19,3 +22,28 @@ def test_bench_self_tests_pass():
     assert result.returncode == 0, result.stderr
     ran = re.search(r"^Ran (\d+) tests?", result.stderr, re.MULTILINE)
     assert ran and int(ran.group(1)) >= 13, result.stderr
+
+
+def test_field_searches_match_pinned_sweep_digests(tmp_path, monkeypatch):
+    """The seed-1 witness-sweep searches on every 3-state input and on s00 and
+    s01 print exactly the output whose digest bench/expected.json pins."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import inputs
+    import workloads
+
+    from epistemic import cli
+
+    expected = json.loads((ROOT / "bench" / "expected.json").read_text("utf-8"))
+    pinned = expected["workloads"]["witness-sweep"]["default_seed"]["digests"]
+    checked = 0
+    for item, path in inputs.write_inputs("witness-sweep", expected["default_seed"], tmp_path):
+        if item.states != 3 and item.name not in ("s00", "s01"):
+            continue
+        for tag, extra in workloads.SWEEP_SEARCHES:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                cli.main(["search", str(path), "--actions", "2", "--json", *extra])
+            key = f"{item.name}:{tag}"
+            assert workloads.sha256(out.getvalue()) == pinned[key], key
+            checked += 1
+    assert checked == 36

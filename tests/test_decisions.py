@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -34,7 +35,7 @@ from epistemic import (
 from epistemic import d1 as make_d1
 from epistemic import decisions
 from generators import random_partitional
-from oracles import derive_action_function
+from oracles import complete_stp_field_reference, derive_action_function
 
 
 def ev(*names):
@@ -286,6 +287,64 @@ def test_complete_stp_field_conflict_raises():
     field = (ev("w0"), ev("w1"), ev("w0", "w1"))
     with pytest.raises(InputError):
         complete_stp_field(field, {ev("w0"): "x", ev("w1"): "x", ev("w0", "w1"): "y"})
+
+
+def _completion_outcome(complete, field, table):
+    try:
+        return "returned", list(complete(field, table).items())
+    except EpistemicError as err:
+        return type(err).__name__, str(err), getattr(err, "event", None)
+
+
+def test_complete_stp_field_matches_reference():
+    rng = random.Random(59)
+    outcomes = Counter()
+    for _ in range(2000):
+        n = rng.randint(1, 5)
+        states = [f"s{k}" for k in range(n)]
+        subsets = [frozenset(c) for r in range(1, n + 1) for c in itertools.combinations(states, r)]
+        density = rng.random()
+        field = [e for e in subsets if rng.random() < density]
+        if rng.random() < 0.03:
+            field.append(frozenset())
+        actions = "xyz"[:rng.randint(1, 3)]
+        table = {e: rng.choice(actions) for e in field if e and rng.random() < 0.5}
+        if rng.random() < 0.03:
+            table[rng.choice(subsets)] = "x"
+        got = _completion_outcome(complete_stp_field, field, table)
+        assert got == _completion_outcome(complete_stp_field_reference, field, table)
+        outcomes[got[0]] += 1
+    assert set(outcomes) == {"returned", "DomainError", "InputError"}
+    assert min(outcomes.values()) >= 100
+
+
+def test_complete_stp_field_stops_at_the_first_forced_union():
+    # 2**18 uniform families, but the first one already leaves the field
+    singles = [ev(f"s{k:02d}") for k in range(18)]
+    start = time.perf_counter()
+    with pytest.raises(DomainError) as err:
+        complete_stp_field(singles, {e: "x" for e in singles})
+    assert time.perf_counter() - start < 1.0
+    assert err.value.event == ev("s00", "s01")
+
+
+def test_complete_stp_field_node_cap(monkeypatch):
+    field = [frozenset(c) for r in (1, 2, 3) for c in itertools.combinations(["w0", "w1", "w2"], r)]
+    table = {e: "x" for e in field if len(e) == 1}
+    assert complete_stp_field(field, table) == {e: "x" for e in field}
+    monkeypatch.setattr(decisions, "_FAMILY_NODE_CAP", 5)
+    with pytest.raises(ResourceLimitError, match="passed 5 nodes"):
+        complete_stp_field(field, table)
+
+
+def test_stp_field_input_errors_in_order():
+    not_total = field_df("a", {ev("w9"): "x"})
+    with pytest.raises(InputError, match="at least one event"):
+        check_stp_field([], not_total)
+    with pytest.raises(InputError, match="non-empty"):
+        check_stp_field([frozenset(), ev("w0")], not_total)
+    with pytest.raises(InputError, match="total on the field"):
+        check_stp_field([ev("w0")], not_total)
 
 
 # ---------------------------------------------------------------------------

@@ -307,6 +307,25 @@ def test_relation_properties_report_is_shared_read_only(d1):
     assert fresh.relation_properties() == report
 
 
+def test_relation_flags_match_pair_definitions():
+    # the flags are tested once per distinct successor row; this is the per-pair definition
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(300):
+        S = random_structure(rng)
+        for agent, flags in S.relation_properties().flags.items():
+            succ = {s: {v for u, v in S.relations[agent] if u == s} for s in S.states}
+            want = RelationFlags(
+                serial=all(succ[s] for s in S.states),
+                reflexive=all(s in succ[s] for s in S.states),
+                transitive=all(succ[v] <= succ[u] for u in S.states for v in succ[u]),
+                euclidean=all(succ[u] <= succ[v] for u in S.states for v in succ[u]),
+            )
+            assert flags == want
+            seen.update((name, getattr(want, name)) for name in ("serial", "reflexive", "transitive", "euclidean"))
+    assert len(seen) == 8
+
+
 def test_empty_relation_not_serial():
     S = InformationStructure(["x"], ["i"], {"i": []})
     report = S.relation_properties()
