@@ -2,11 +2,16 @@
 
 Two modes mirror the two decision-function shapes. ``theorem1`` works on a
 partitional structure with field-kind decision functions; ``theorem2`` works
-on a counterfactual structure with gamma-kind decision functions. In both, a
-verdict enumerates action profiles, intersects the per-agent "takes this
-action" events, and asks whether the group commonly believes the result. A
-violation is a non-constant profile whose common-belief event is non-empty,
-i.e. a witnessed agreement to disagree.
+on a counterfactual structure with gamma-kind decision functions. A violation
+is a non-constant profile whose agreement event (the states where every member
+takes its action) the group commonly believes somewhere, i.e. a witnessed
+agreement to disagree.
+
+Common belief at a state means its group reach lies inside the event, and each
+member's actions split the carrier. So a verdict reads the group's reach
+classes, not the profiles: a reach class fixes at most one profile, the action
+each member takes on all of it, and the violations are the non-constant
+profiles some class fixes, each commonly believed on those classes' states.
 
 The hypothesis checks (Sure-Thing Principle and like-mindedness) run first
 and are carried on the verdict; a family that fails them is still checked so
@@ -15,7 +20,7 @@ the resulting violations can be inspected together with the failed hypothesis.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -93,7 +98,7 @@ class DisagreementWitness:
 
 @dataclass(frozen=True, slots=True)
 class _Compiled:
-    """What the profile loop reads of one agent's table on one carrier."""
+    """What a verdict reads of one agent's table on one carrier."""
 
     origin: InformationStructure | None  # whose decision domain the table was checked on, theorem2 only
     stp: tuple[Violation, ...]
@@ -153,11 +158,11 @@ def check_agreement(
 ) -> AgreementVerdict:
     """Check every action profile of the family for commonly-believed disagreement.
 
-    Profiles range over the actions actually appearing in each agent's table;
-    other actions can only produce empty agreement events. The common-belief
-    computation is skipped for empty agreement events, which is sound on serial
-    structures and never changes the verdict. ``max_cells`` is the cell cap of
-    the theorem2 hypothesis checks, resolved once per call.
+    Profiles range over the actions actually appearing in each agent's table,
+    and ``profiles_checked`` is the number of them. Only the profiles that a
+    reach class of the group fixes are visited, in profile order; every other
+    non-constant profile has an empty common-belief event. ``max_cells`` is the
+    cell cap of the theorem2 hypothesis checks, resolved once per call.
     """
     hyp: list = []
     if mode == MODE_THEOREM2:
@@ -192,37 +197,47 @@ def check_agreement(
     members = carrier._group(group) if group is not None else carrier.agents
     by_agent = {df.agent: entry for df, entry in zip(dfs, compiled)}
     entries = [by_agent[a] for a in members]
-    profiles_checked = 0
-    violations: list[AgreementViolation] = []
-    # The two products run in step: each profile with its members' state masks.
-    for combo, masks in zip(itertools.product(*(e.actions for e in entries)),
-                            itertools.product(*(e.masks for e in entries))):
-        profiles_checked += 1
-        agreement = carrier._full
-        for mask in masks:
-            agreement &= mask
-            if not agreement:
+    # A class commonly believes a profile's agreement event when its reach lies inside it. Each
+    # member's action masks split the carrier, so a reach lies inside at most one of them per
+    # member. No reach is empty: _compile found every member a decision at every state, and the
+    # empty event is in no decision domain.
+    fixed: dict[tuple[int, ...], int] = {}
+    for reach, states in carrier._reach_groups(members):
+        picked = []
+        for e in entries:  # a loop, not a generator: this runs for every class of every family
+            for k, mask in enumerate(e.masks):
+                if not reach & ~mask:
+                    picked.append(k)
+                    break
+            else:
                 break
-        if not agreement or len(set(combo)) == 1:
+        else:
+            key = tuple(picked)
+            fixed[key] = fixed.get(key, 0) | states
+    violations: list[AgreementViolation] = []
+    for key, cb in sorted(fixed.items()):  # index tuples in sorted order are profiles in product order
+        combo = tuple(e.actions[k] for e, k in zip(entries, key))
+        if len(set(combo)) == 1:
             continue
-        cb = carrier._common_belief_mask(members, agreement)
-        if cb:
-            agreement_event = carrier._unmask(agreement)
-            violations.append(
-                AgreementViolation(
-                    profile=tuple(zip(members, combo)),
-                    witness=carrier.states[(cb & -cb).bit_length() - 1],
-                    agreement_event=agreement_event,
-                    common_belief_event=carrier._unmask(cb),
-                    agreement_event_actual=(
-                        agreement_event & target.actual if mode == MODE_THEOREM2 else None
-                    ),
-                )
+        agreement = carrier._full
+        for e, k in zip(entries, key):
+            agreement &= e.masks[k]
+        agreement_event = carrier._unmask(agreement)
+        violations.append(
+            AgreementViolation(
+                profile=tuple(zip(members, combo)),
+                witness=carrier.states[(cb & -cb).bit_length() - 1],
+                agreement_event=agreement_event,
+                common_belief_event=carrier._unmask(cb),
+                agreement_event_actual=(
+                    agreement_event & target.actual if mode == MODE_THEOREM2 else None
+                ),
             )
+        )
     return AgreementVerdict(
         mode=mode,
         group=members,
-        profiles_checked=profiles_checked,
+        profiles_checked=math.prod(len(e.actions) for e in entries),
         violations=tuple(violations),
         hypothesis_violations=ViolationList(entries=tuple(hyp)),
     )
@@ -261,6 +276,8 @@ def search_disagreement(
     if mode == MODE_THEOREM2:
         if built is None:
             built = build_counterfactual(source, max_cells=max_cells)
+        # Resolved once for the enumeration and every check; theorem1 never reads the cap.
+        max_cells = resolve_max_cells(max_cells)
         check_target = built
         kind = GAMMA_KIND
     elif mode == MODE_THEOREM1:

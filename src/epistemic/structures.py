@@ -375,12 +375,14 @@ class InformationStructure:
         """
         return self._unmask(self._common_belief_mask(self._group(group), self._mask(event)))
 
+    def _reach_groups(self, group: tuple[str, ...]) -> tuple[tuple[int, int], ...]:
+        """(reach, states sharing it) per distinct group reach mask, by first state (cached)."""
+        return self._memo(("reach_groups", *group), lambda: _grouped(self._reach_masks(group)))
+
     def _common_belief_mask(self, group: tuple[str, ...], emask: int) -> int:
-        # States sharing a reach mask are tested together.
-        reach_groups = self._memo(("reach_groups", *group), lambda: _grouped(self._reach_masks(group)))
         outside = ~emask
         out = 0
-        for reach, states in reach_groups:
+        for reach, states in self._reach_groups(group):
             if reach & outside == 0:
                 out |= states
         return out

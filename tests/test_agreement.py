@@ -2,9 +2,11 @@
 
 import itertools
 import json
+import os
 import random
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -342,6 +344,75 @@ def test_mask_kernel_matches_per_state_reference(mode, relax):
         assert checked_violations > 0
 
 
+def _random_tables(rng, S, kind, actions, domain_of):
+    """One table per agent over its domain, each on a random subset of the actions."""
+    family = []
+    for agent in S.agents:
+        acts = rng.sample(actions, rng.randint(1, len(actions)))
+        family.append(DecisionFunction(agent=agent, kind=kind, table={e: rng.choice(acts) for e in domain_of(agent)}))
+    return tuple(family)
+
+
+@pytest.mark.parametrize("mode", ["theorem1", "theorem2"])
+def test_reach_class_verdicts_match_per_state_reference(mode):
+    # Random tables mostly break a hypothesis; the enumerated ones keep both.
+    rng = random.Random(131 if mode == "theorem2" else 137)
+    seen = Counter()
+    for S in _small_structures(seed=139, count=20):
+        actions = [str(k) for k in range(rng.randint(2, 4))]
+        seen[f"{len(actions)} actions"] += 1
+        if mode == "theorem2":
+            target = build_counterfactual(S)
+            kind, kwargs = "gamma", {}
+            domain = {a: gamma(S, a) for a in S.agents}
+        else:
+            target = S
+            field = {c for a in S.agents for c in partition(S, a)}
+            kind, kwargs = "field", {"field": field}
+            domain = {a: sorted(field, key=sorted) for a in S.agents}
+        families = [_random_tables(rng, S, kind, actions, domain.__getitem__) for _ in range(3)]
+        try:
+            kept = list(itertools.islice(enumerate_decision_profiles(
+                S, actions, kind=kind, stp=True, like_minded=True, max_families=50_000, **kwargs), 300))
+            families += rng.sample(kept, min(2, len(kept)))
+        except ResourceLimitError:
+            pass
+        groups = [g for r in range(1, len(S.agents) + 1) for g in itertools.combinations(S.agents, r)]
+        for family in families:
+            for group in groups:
+                got = check_agreement(target, family, group=group, mode=mode)
+                assert got == reference_check_agreement(target, family, group, mode, prune=True)
+                seen["met" if got.hypotheses_met else "broken"] += 1
+                seen["violations"] += len(got.violations)
+                seen["several"] += len(got.violations) > 1
+    assert all(seen[key] for key in ("2 actions", "3 actions", "4 actions", "met", "broken", "several"))
+
+
+def test_state_with_an_empty_reach_raises_before_the_verdict(d1, d1_cf):
+    # A state where some agent considers nothing possible has no decision in any table, so
+    # no reach that the verdict reads is empty. One duplicate loses b's row, another every row.
+    S = d1_cf.structure
+    only_b, every = sorted(d1_cf.labels)[2], sorted(d1_cf.labels)[5]
+    relations = {i: {(u, v) for u, v in S.relations[i] if u != every and (i != "b" or u != only_b)}
+                 for i in S.agents}
+    built = CounterfactualStructure(
+        structure=InformationStructure(S.states, S.agents, relations, allow_plus_in_names=True),
+        actual=d1_cf.actual, labels=d1_cf.labels, origin=d1_cf.origin,
+    )
+    assert built.structure.component_successors(["b"], only_b) == frozenset()
+    assert built.structure.component_successors(["a", "b"], every) == frozenset()
+    rng = random.Random(149)
+    families = _relaxed_families(d1, 200)[::40] + [
+        _random_tables(rng, d1, "gamma", ["0", "1", "2"], lambda a: gamma(d1, a)) for _ in range(5)]
+    for family in families:
+        for group in (None, ["a"], ["b"]):
+            with pytest.raises(DomainError) as want:
+                reference_check_agreement(built, family, group or d1.agents, "theorem2", prune=True)
+            with pytest.raises(DomainError) as got:
+                check_agreement(built, family, group=group, mode="theorem2")
+            assert str(got.value) == str(want.value) and got.value.event == frozenset()
+
+
 def _undecided_duplicates(d1_cf, agent, targets):
     """A copy of the counterfactual d1 in which one duplicate per target state
     points the agent at that state alone, outside the agent's union closure."""
@@ -461,6 +532,58 @@ def test_search_passes_its_cell_cap_to_every_check(monkeypatch):
     assert check_agreement(built, family, max_cells=3).passed
     with pytest.raises(ResourceLimitError):
         check_agreement(built, family)
+
+
+def test_search_reads_verdicts_off_the_reach_classes(monkeypatch):
+    def no_profile_loop(self, group, emask):
+        raise AssertionError("check_agreement asked for the common belief of one profile")
+
+    monkeypatch.setattr(structures.InformationStructure, "_common_belief_mask", no_profile_loop)
+    assert search_disagreement(make_d1(), 3) is None
+    assert search_disagreement(make_d1(), 2, relax=["stp"]) is not None
+
+
+class _CountingEnviron(dict):
+    """A copy of the environment that counts the reads of the cell cap's variable."""
+
+    def __init__(self, environ):
+        super().__init__(environ)
+        self.reads = 0
+
+    def get(self, key, default=None):
+        self.reads += key == partitions.MAX_CELLS_ENV_VAR
+        return super().get(key, default)
+
+
+def test_theorem2_search_resolves_the_cell_cap_once(monkeypatch):
+    built = build_counterfactual(make_d1())
+    environ = _CountingEnviron(os.environ)
+    monkeypatch.setattr(partitions, "os", SimpleNamespace(environ=environ))
+    assert search_disagreement(built, 3) is None
+    assert environ.reads == 1
+    assert search_disagreement(make_d1(), 2, mode="theorem1") is None
+    assert environ.reads == 1  # a theorem1 search has no cell cap
+
+
+@pytest.mark.parametrize("cap", [2, 0, -1])
+def test_search_cell_cap_errors_are_unchanged(cap, monkeypatch):
+    for target in (make_d1(), build_counterfactual(make_d1())):
+        with pytest.raises(ResourceLimitError if cap == 2 else InputError) as explicit:
+            search_disagreement(target, 2, max_cells=cap)
+        with monkeypatch.context() as env:
+            env.setenv("EPISTEMIC_MAX_CELLS", str(cap))
+            with pytest.raises(ResourceLimitError if cap == 2 else InputError) as via_env:
+                search_disagreement(target, 2)
+        if cap == 2:
+            for got in (explicit, via_env):
+                assert str(got.value).startswith("agent 'b' has 3 partition cells, above the cap of 2;")
+        else:
+            assert str(explicit.value) == "cell cap must be positive"
+            assert str(via_env.value) == f"EPISTEMIC_MAX_CELLS must be positive, got {cap}"
+    monkeypatch.setenv("EPISTEMIC_MAX_CELLS", "zero")
+    with pytest.raises(InputError, match="'zero' is not an integer"):
+        search_disagreement(make_d1(), 2)
+    assert search_disagreement(make_d1(), 2, mode="theorem1") is None
 
 
 def test_replay_uses_the_search_cell_cap(monkeypatch):
