@@ -10,7 +10,6 @@ or a witness is found, 2 for usage or input errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -20,6 +19,7 @@ from .decisions import GAMMA_KIND, check_like_minded, check_stp_field, check_stp
 from .errors import EpistemicError, InputError
 from .partitions import flaw_report
 from .serialization import (
+    canonical_json,
     decisions_to_document,
     parse_decisions,
     parse_structure,
@@ -55,7 +55,7 @@ def _carrier_of(value) -> InformationStructure:
 
 
 def _emit_json(doc) -> None:
-    print(json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=2))
+    print(canonical_json(doc), end="")
 
 
 def _comma_list(raw: str) -> list[str]:

@@ -5,6 +5,15 @@ newline; states, agents, relation pairs and provenance labels are sorted
 lexicographically. Serialization is byte-deterministic, so equal values
 produce identical files and golden-file comparisons are meaningful.
 
+``canonical_json`` is the one definition of that layout (``json.dumps`` with
+``indent=2``), used for decision documents and CLI reports.
+``serialize_structure`` writes the same bytes for a structure directly from
+its successor masks, escaping each name once with the encoder's own
+``encode_basestring``: ``indent`` turns off the C encoder, and the pure-Python
+one cost more than the model on large counterfactual documents.
+``canonical_json(structure_to_document(value))`` is its reference, and the
+tests hold the two byte-identical.
+
 A structure document carries an optional provenance section turning it into a
 counterfactual structure: a content hash of its source document plus one
 label per duplicate state. The label map is re-validated on parse, including
@@ -16,7 +25,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Sequence
+from json.encoder import encode_basestring
+from typing import Iterable, Iterator, Sequence
 
 from .counterfactual import CounterfactualLabel, CounterfactualStructure, label_block_mismatch
 from .decisions import DecisionFunction
@@ -24,6 +34,7 @@ from .errors import EpistemicError, InputError, ParseError
 from .partitions import gamma
 from .structures import (
     InformationStructure,
+    _bits,
     canonical_event_string,
     parse_event_string,
 )
@@ -69,8 +80,67 @@ def structure_to_document(value) -> dict:
     }
 
 
+def _pieces(items: Iterable[str], indent: str, brackets: str = "[]") -> list[str]:
+    """Encoded items (array members or ``"key": value`` entries) with the brackets and separators that
+    ``canonical_json`` writes around them in a container opening at ``indent``. Left unjoined, so that
+    the one join in ``serialize_structure`` is the only large string the writer allocates."""
+    inner = ",\n" + indent + "  "
+    out: list[str] = []
+    for item in items:
+        out += (inner, item)
+    if not out:
+        return [brackets]
+    out[0] = brackets[0] + inner[1:]
+    out.append("\n" + indent + brackets[1])
+    return out
+
+
+def _label(name: str, label: CounterfactualLabel) -> str:
+    return "".join(_pieces([
+        '"agent": ' + encode_basestring(label.agent),
+        '"base": ' + encode_basestring(label.base),
+        '"event": ' + encode_basestring(canonical_event_string(label.event)),
+        '"state": ' + encode_basestring(name),
+    ], "      ", "{}"))
+
+
+def _pair_blocks(S: InformationStructure, agent: str, names: list[str]) -> Iterator[str]:
+    """Per source state with successors, its ``[from, to]`` pairs in index (= name) order, each
+    distinct row's targets listed once."""
+    targets: dict[int, list[str]] = {}
+    prev = row_names = None
+    for k, row in enumerate(S._succ[agent]):
+        if row != prev:  # carrier rows come in runs; comparing is cheaper than hashing
+            prev, row_names = row, targets.get(row)
+            if row_names is None:
+                row_names = targets[row] = [names[v] for v in _bits(row)]
+        if row_names:
+            head = "[\n        " + names[k] + ",\n        "
+            yield head + ("\n      ],\n      " + head).join(row_names) + "\n      ]"
+
+
 def serialize_structure(value) -> str:
-    return canonical_json(structure_to_document(value))
+    """The canonical text of a structure or counterfactual structure, written directly; it equals
+    ``canonical_json(structure_to_document(value))`` byte for byte."""
+    if isinstance(value, CounterfactualStructure):
+        S, labels = value.structure, value.labels
+    elif isinstance(value, InformationStructure):
+        S, labels = value, None
+    else:
+        raise InputError(f"cannot serialize {type(value).__name__}")
+    names = [encode_basestring(s) for s in S.states]
+    agents = [encode_basestring(a) for a in S.agents]
+    parts = ['{\n  "agents": ', *_pieces(agents, "  ")]
+    if labels is not None:
+        parts.append(',\n  "provenance": {\n    "labels": ')
+        parts += _pieces((_label(name, label) for name, label in sorted(labels.items())), "    ")
+        parts += [',\n    "origin_hash": ', encode_basestring(structure_hash(value.origin)), "\n  }"]
+    parts.append(',\n  "relations": {')
+    for k, (enc, agent) in enumerate(zip(agents, S.agents)):
+        parts += (",\n    " if k else "\n    ", enc, ": ")
+        parts += _pieces(_pair_blocks(S, agent, names), "    ")
+    parts += ['\n  },\n  "states": ', *_pieces(names, "  "), f',\n  "version": {FORMAT_VERSION}\n}}\n']
+    return "".join(parts)
 
 
 def structure_hash(structure: InformationStructure) -> str:
@@ -106,17 +176,14 @@ def document_to_structure(doc) -> InformationStructure | CounterfactualStructure
     _expect_version(doc, "structure document")
     states = _str_list(_expect(doc, "states", list, "structure document"), "states")
     agents = _str_list(_expect(doc, "agents", list, "structure document"), "agents")
-    relations_doc = _expect(doc, "relations", dict, "structure document")
-    relations: dict[str, list[tuple[str, str]]] = {}
-    for agent, pairs in relations_doc.items():
+    relations = _expect(doc, "relations", dict, "structure document")
+    for agent, pairs in relations.items():
         if not isinstance(pairs, list):
             raise ParseError(f"relations for agent {agent!r} must be a list of pairs")
-        converted = []
         for pair in pairs:
-            if not isinstance(pair, list) or len(pair) != 2 or not all(isinstance(p, str) for p in pair):
+            if not (isinstance(pair, list) and len(pair) == 2
+                    and isinstance(pair[0], str) and isinstance(pair[1], str)):
                 raise ParseError(f"relation entry {pair!r} for agent {agent!r} must be a [from, to] pair")
-            converted.append((pair[0], pair[1]))
-        relations[agent] = converted
 
     provenance = doc.get("provenance")
     try:
@@ -233,7 +300,8 @@ def parse_decisions(text: str) -> tuple[tuple[DecisionFunction, ...], tuple[str,
         raise ParseError(f"unknown keys in decision document: {sorted(unknown)}")
     _expect_version(doc, "decision document")
     actions = _str_list(_expect(doc, "actions", list, "decision document"), "actions")
-    if len(set(actions)) != len(actions):
+    action_set = set(actions)
+    if len(action_set) != len(actions):
         raise ParseError("duplicate action names")
     agents_doc = _expect(doc, "agents", dict, "decision document")
     if not agents_doc:
@@ -250,7 +318,7 @@ def parse_decisions(text: str) -> tuple[tuple[DecisionFunction, ...], tuple[str,
         for event_string, action in table_doc.items():
             if not isinstance(action, str):
                 raise ParseError(f"action for event {event_string!r} must be a string")
-            if action not in set(actions):
+            if action not in action_set:
                 raise ParseError(f"action {action!r} is not in the declared action set")
             try:
                 event = parse_event_string(event_string)

@@ -1,8 +1,9 @@
-"""Source hygiene: no `assert` invariants and no random sampling in the library.
+"""Source hygiene: no `assert` invariants, no random sampling, one canonical layout.
 
 ``python -O`` strips ``assert`` statements, so a runtime invariant written as
-one silently disappears; and every check the library runs is exact, so it has
-no use for the ``random`` module.
+one silently disappears; every check the library runs is exact, so it has no
+use for the ``random`` module; and the indented JSON layout is defined once,
+in ``serialization.canonical_json``.
 """
 
 import ast
@@ -30,3 +31,19 @@ def test_no_assert_and_no_random(path):
         else:
             continue
         assert "random" not in names, f"import of random at {where}"
+
+
+def test_indented_json_is_written_only_by_canonical_json():
+    writers = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text("utf-8"), filename=str(path))
+        funcs = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and any(kw.arg == "indent" for kw in node.keywords)):
+                continue
+            if getattr(node.func, "attr", getattr(node.func, "id", None)) != "dumps":
+                continue
+            enclosing = [f for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
+            name = max(enclosing, key=lambda f: f.lineno).name if enclosing else "<module>"
+            writers.append((path.name, name))
+    assert writers == [("serialization.py", "canonical_json")]

@@ -15,8 +15,11 @@ from epistemic import (
     CounterfactualStructure,
     DecisionFunction,
     ParseError,
+    InformationStructure,
     build_counterfactual,
+    canonical_json,
     d1_document,
+    equivalence_pairs,
     gamma,
     parse_decisions,
     parse_structure,
@@ -26,7 +29,7 @@ from epistemic import (
     structure_to_document,
 )
 from epistemic.cli import main
-from generators import random_partitional, random_structure
+from generators import random_belief_structure, random_partitional, random_structure
 
 GOLDEN = Path(__file__).parent / "golden"
 ROOT = Path(__file__).resolve().parent.parent
@@ -61,6 +64,51 @@ def test_roundtrip_random_corpus():
         again = parse_structure(text)
         assert again == value
         assert serialize_structure(again) == text  # idempotent bytes
+
+
+def _escaped_names() -> tuple[InformationStructure, InformationStructure]:
+    """A partitional structure whose names need JSON escaping or are not ASCII, and one with an
+    agent that has no relation pairs."""
+    states = ['q"1', "b\\s", "é", "中", "w0"]
+    partitional = InformationStructure(states, ['a"', "ü", "中"], {
+        'a"': equivalence_pairs([['q"1', "b\\s"], ["é", "中", "w0"]]),
+        "ü": equivalence_pairs([[s] for s in states]),
+        "中": equivalence_pairs([["w0", 'q"1', "é"], ["b\\s", "中"]]),
+    })
+    silent = InformationStructure(states, ["a", "z\\"], {"a": [("é", "中"), ("w0", 'q"1')], "z\\": []})
+    return partitional, silent
+
+
+def test_direct_writer_matches_the_document_reference():
+    rng = random.Random(12)
+    values = list(_escaped_names())
+    values.append(build_counterfactual(values[0]))
+    for k in range(90):
+        make = (random_structure, random_partitional, random_belief_structure)[k % 3]
+        S = make(rng)
+        values.append(S)
+        if k % 3 == 1:
+            values.append(build_counterfactual(S))
+    for value in values:
+        reference = canonical_json(structure_to_document(value))
+        assert serialize_structure(value) == reference
+        assert structure_hash(value) == hashlib.sha256(reference.encode("utf-8")).hexdigest()
+        assert parse_structure(reference) == value
+    assert '"z\\\\": []' in serialize_structure(values[1])
+
+
+@pytest.mark.parametrize("pair", ["w0", ["w0"], ["w0", "w0", "w0"], ["w0", 0]])
+def test_malformed_relation_entry_is_refused(tmp_path, capsys, pair):
+    doc = {"version": 1, "states": ["w0"], "agents": ["a"], "relations": {"a": [["w0", "w0"], pair]}}
+    text = json.dumps(doc)
+    with pytest.raises(ParseError) as err:
+        parse_structure(text)
+    assert str(err.value) == f"relation entry {pair!r} for agent 'a' must be a [from, to] pair"
+    path = tmp_path / "bad.json"
+    path.write_text(text, "utf-8")
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {err.value}\n" and "Traceback" not in captured.err
 
 
 def test_canonicalization_is_order_free(d1):
