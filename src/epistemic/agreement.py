@@ -36,6 +36,7 @@ from .decisions import (
     check_stp_gamma,
     enumerate_decision_profiles,
     _disagreements,
+    _domain,
     _undecided,
     _validate_gamma_domain,
 )
@@ -119,19 +120,37 @@ def _compile(carrier: InformationStructure, df: DecisionFunction,
     return _Compiled(origin, stp, actions, tuple(buckets.get(a, 0) for a in actions))
 
 
-def _compiled_gamma(target: CounterfactualStructure, df: DecisionFunction,
-                    order: tuple[Event, ...], cap: int) -> _Compiled:
-    """The validated gamma table's entry in the carrier's index, compiled on first use.
+def _table_key(source: InformationStructure, df: DecisionFunction, cap: int) -> tuple[str, ...]:
+    """The key of a gamma table's compiled entry: the agent and the table's actions over
+    its domain in canonical order, so equal tables share an entry and a table edited in
+    place gets a new one.
 
-    The key is the agent and the table's actions over its domain in canonical
-    order, so equal tables share an entry and a table edited in place gets a new one.
+    Built in the walk that validates the table: a table that holds every domain event
+    and no more keys than the domain has covers the domain exactly.
     """
+    order = _domain(source, df.agent, cap)[0]
+    table = df.table
+    if len(table) == len(order):
+        try:
+            return ("table", df.agent, *map(table.__getitem__, order))
+        except KeyError:
+            pass
+    # The keys are not the domain: the full check raises the error that names the difference.
+    _validate_gamma_domain(source, df, max_cells=cap)
+
+
+def _compiled_gamma(target: CounterfactualStructure, df: DecisionFunction,
+                    key: tuple[str, ...], cap: int) -> _Compiled:
+    """The validated gamma table's entry in the carrier's index, compiled on first use."""
     source, carrier = target.origin, target.structure
+    entry = carrier._facts.get(key)  # read directly on a hit: _memo takes a new closure per call
+    if entry is not None and entry.origin is source:
+        return entry
 
     def build() -> _Compiled:
         return _compile(carrier, df, source, check_stp_gamma(source, df, max_cells=cap).entries)
 
-    entry = carrier._memo(("table", df.agent, *map(df.table.__getitem__, order)), build)
+    entry = carrier._memo(key, build)
     # A carrier paired by hand with another origin reads none of this one's entries.
     return entry if entry.origin is source else build()
 
@@ -172,9 +191,9 @@ def check_agreement(
         carrier = target.structure
         dfs = _normalize_family(carrier.agents, family, GAMMA_KIND)
         cap = resolve_max_cells(max_cells)
-        orders = [_validate_gamma_domain(source, df, max_cells=cap) for df in dfs]
+        keys = [_table_key(source, df, cap) for df in dfs]
         hyp.extend(_disagreements(source, dfs, cap))
-        compiled = [_compiled_gamma(target, df, order, cap) for df, order in zip(dfs, orders)]
+        compiled = [_compiled_gamma(target, df, key, cap) for df, key in zip(dfs, keys)]
         for entry in compiled:
             hyp.extend(entry.stp)
     elif mode == MODE_THEOREM1:

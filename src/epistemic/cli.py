@@ -10,6 +10,7 @@ or a witness is found, 2 for usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -398,6 +399,7 @@ def cmd_flaws(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # parsing leaves the parser as it was, so one per process serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="epistemic",

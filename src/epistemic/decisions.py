@@ -233,23 +233,18 @@ def _disjoint_families(masks: tuple[int, ...], *, node_cap: int = _FAMILY_NODE_C
     by_mask = {m: k for k, m in enumerate(masks)}
     out: list[tuple[tuple[int, ...], int]] = []
     nodes = 0
-
-    def recurse(start: int, chosen: list[int], union: int):
-        nonlocal nodes
-        for k in range(start, len(masks)):
-            if masks[k] & union:
-                continue
-            nodes += 1
-            if nodes > node_cap:
-                raise ResourceLimitError("too many disjoint event families to enumerate")
-            chosen.append(k)
-            new_union = union | masks[k]
-            if len(chosen) >= 2 and new_union in by_mask:
-                out.append((tuple(chosen), by_mask[new_union]))
-            recurse(k + 1, chosen, new_union)
-            chosen.pop()
-
-    recurse(0, [], 0)
+    # Depth first from a stack, children pushed in reverse so they pop in index order; a
+    # nested function calling itself would hold itself in a closure cell, a reference cycle.
+    stack: list[tuple[tuple[int, ...], int, int]] = [((), 0, 0)]
+    while stack:
+        chosen, union, start = stack.pop()
+        if len(chosen) >= 2 and union in by_mask:
+            out.append((chosen, by_mask[union]))
+        children = [k for k in range(start, len(masks)) if not masks[k] & union]
+        nodes += len(children)
+        if nodes > node_cap:
+            raise ResourceLimitError("too many disjoint event families to enumerate")
+        stack.extend((chosen + (k,), union | masks[k], k + 1) for k in reversed(children))
     return tuple(out)
 
 
@@ -477,6 +472,41 @@ def _gamma_tables(
     return tables
 
 
+def _join_steps(structure: InformationStructure, agents: tuple[str, ...],
+                per_agent: list[list[dict[Event, str]]], max_cells: int | None) -> list[tuple]:
+    """Per agent, (probes, buckets): each probe is (earlier agent's position, event) for
+    an event the agent shares with an earlier agent, read from the first agent that has
+    it; the buckets group the agent's tables by their values on those events, each
+    bucket in table order."""
+    steps = []
+    for k, agent in enumerate(agents):
+        probes: dict[Event, int] = {}
+        for j in range(k):
+            for event in _shared_events(structure, agents[j], agent, max_cells):
+                probes.setdefault(event, j)
+        buckets: dict[tuple[str, ...], list[dict[Event, str]]] = {}
+        for table in per_agent[k]:
+            buckets.setdefault(tuple(table[e] for e in probes), []).append(table)
+        steps.append((tuple((j, e) for e, j in probes.items()), buckets))
+    return steps
+
+
+def _join(steps: list[tuple], prefix: tuple[dict[Event, str], ...]) -> Iterator[tuple[dict[Event, str], ...]]:
+    """Every like-minded extension of ``prefix`` by one table per remaining agent, in
+    product order: each agent reads only the bucket its prefix's shared values select.
+
+    At module level, not a closure: a generator that names itself through a closure
+    cell is a reference cycle, and keeps every table alive until a full collection.
+    """
+    probes, buckets = steps[len(prefix)]
+    last = len(prefix) + 1 == len(steps)
+    for table in buckets.get(tuple(prefix[j][e] for j, e in probes), ()):
+        if last:
+            yield prefix + (table,)
+        else:
+            yield from _join(steps, prefix + (table,))
+
+
 def enumerate_decision_profiles(
     structure: InformationStructure,
     actions,
@@ -496,6 +526,8 @@ def enumerate_decision_profiles(
     unconstrained stream would produce. A cap bounds the work; exceeding it
     raises :class:`ResourceLimitError` rather than truncating silently.
     """
+    if max_families < 1:
+        raise InputError("family cap must be positive")
     acts = normalize_actions(actions)
     agents = structure.agents
     if kind == GAMMA_KIND:
@@ -507,22 +539,17 @@ def enumerate_decision_profiles(
             total *= len(tables)
         if total > max_families:
             raise ResourceLimitError(f"{total} families exceed the cap of {max_families}")
-        shared = {(i, j): _shared_events(structure, i, j, max_cells)
-                  for i, j in itertools.combinations(agents, 2)}
-        for combo in itertools.product(*per_agent):
-            tables = dict(zip(agents, combo))
-            if like_minded and any(
-                tables[i][e] != tables[j][e]
-                for (i, j), events in shared.items()
-                for e in events
-            ):
-                continue
-            yield tuple(DecisionFunction._built(a, GAMMA_KIND, dict(tables[a])) for a in agents)
+        combos = (_join(_join_steps(structure, agents, per_agent, max_cells), ()) if like_minded
+                  else itertools.product(*per_agent))
+        for combo in combos:
+            yield tuple(DecisionFunction._built(a, GAMMA_KIND, dict(t)) for a, t in zip(agents, combo))
         return
 
     if kind != FIELD_KIND:
         raise InputError(f"unknown decision kind {kind!r}")
     field_set = frozenset(map(frozenset, field if field is not None else powerset_field(structure)))
+    if not field_set:
+        raise InputError("field must contain at least one event")
     domain, masks, universe = _compiled_field(field_set)
     if frozenset() in field_set or not set(universe) <= set(structure.states):
         raise InputError("field events must be non-empty subsets of the state set")

@@ -6,14 +6,18 @@ definitions it replaced: the action an agent takes at each state, and the
 states at which a group takes a given profile. The last two are the
 structure operations as they were before relations were stored only as
 successor masks: one breadth-first search per state for the group reach, and
-a restriction that filters the sorted relation pairs. The last is the
+a restriction that filters the sorted relation pairs. The next is the
 principle's completion on a field as it was before fields were compiled once:
 every round re-indexes the valued events and collects every same-action
-family before filling any union in.
+family before filling any union in. The last is the gamma enumeration as it
+was before like-mindedness became a join: the full product of the agents'
+tables, filtered.
 """
 
+import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from epistemic import (
     CounterfactualStructure,
@@ -23,9 +27,11 @@ from epistemic import (
     InformationStructure,
     InputError,
     PreconditionError,
+    ResourceLimitError,
     canonical_event_string,
+    normalize_actions,
 )
-from epistemic.decisions import GAMMA_KIND, _undecided, _validate_gamma_domain
+from epistemic.decisions import GAMMA_KIND, _gamma_tables, _shared_events, _undecided, _validate_gamma_domain
 
 
 @dataclass
@@ -183,3 +189,30 @@ def complete_stp_field_reference(field: Iterable[Event], table: Mapping[Event, s
                     f"table already violates the principle at {canonical_event_string(union_event)}"
                 )
     return out
+
+
+def gamma_profiles_reference(
+    structure: InformationStructure,
+    actions,
+    *,
+    stp: bool = False,
+    like_minded: bool = False,
+    max_families: int = 1_000_000,
+    max_cells: int | None = None,
+) -> Iterator[tuple[DecisionFunction, ...]]:
+    """Gamma families in product order: every combination of the agents' tables,
+    dropping those that disagree on an event two agents share when ``like_minded``."""
+    acts = normalize_actions(actions)
+    agents = structure.agents
+    per_agent = [_gamma_tables(structure, a, acts, stp, max_families, max_cells) for a in agents]
+    total = math.prod(len(tables) for tables in per_agent)
+    if total > max_families:
+        raise ResourceLimitError(f"{total} families exceed the cap of {max_families}")
+    shared = {(i, j): _shared_events(structure, i, j, max_cells) for i, j in itertools.combinations(agents, 2)}
+    for combo in itertools.product(*per_agent):
+        tables = dict(zip(agents, combo))
+        if like_minded and any(
+            tables[i][e] != tables[j][e] for (i, j), events in shared.items() for e in events
+        ):
+            continue
+        yield tuple(DecisionFunction(agent=a, kind=GAMMA_KIND, table=dict(tables[a])) for a in agents)

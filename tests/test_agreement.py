@@ -1,5 +1,6 @@
 """Agreement verdicts and the disagreement search."""
 
+import gc
 import itertools
 import json
 import os
@@ -233,6 +234,23 @@ def test_search_theorem1_modes(d1):
 def test_search_rejects_unknown_relaxation(d1):
     with pytest.raises(InputError):
         search_disagreement(d1, 2, relax=["optimism"])
+
+
+def test_search_leaves_no_reference_cycles():
+    # A cycle holds the stream's tables until a full collection, which shows as peak memory.
+    decisions._disjoint_families.cache_clear()
+    gc.collect()
+    gc.disable()
+    try:
+        found = [
+            search_disagreement(make_d1(), 2, relax=relax, mode=mode) is not None
+            for relax, mode in (((), "theorem2"), (["stp"], "theorem2"),
+                                (["like_minded"], "theorem2"), ((), "theorem1"))
+        ]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert found == [False, True, True, False]
 
 
 def test_search_none_on_random_partitional_structures():
@@ -668,6 +686,32 @@ def test_cell_cap_checked_after_the_entry_is_stored(via_env, monkeypatch):
                 check_agreement(built, family)
             else:
                 check_agreement(built, family, max_cells=2)
+
+
+def test_table_whose_keys_are_not_the_domain_is_refused_in_agent_order():
+    built = build_counterfactual(make_d1())
+    family = _relaxed_families(built.origin, 1)[0]
+    check_agreement(built, family)
+    outside = {"a": ev("w0"), "b": ev("w1")}  # each outside that agent's union closure
+    damaged = {}
+    for k, df in enumerate(family):
+        rest = gamma(built.origin, df.agent)[1:]
+        damaged[df.agent] = [
+            gamma_df(df.agent, {**df.table, outside[df.agent]: "0"}),  # one key too many
+            gamma_df(df.agent, {e: df.table[e] for e in rest}),  # one key too few
+            gamma_df(df.agent, {**{e: df.table[e] for e in rest}, outside[df.agent]: "0"}),  # as many, one differs
+        ]
+        for bad in damaged[df.agent]:
+            with pytest.raises(InputError) as expected:
+                check_stp_gamma(built.origin, bad)
+            for candidate in (built, build_counterfactual(make_d1())):
+                with pytest.raises(InputError) as got:
+                    check_agreement(candidate, family[:k] + (bad,) + family[k + 1:])
+                assert str(got.value) == str(expected.value)
+    for bad_a, bad_b in itertools.product(damaged["a"], damaged["b"]):
+        with pytest.raises(InputError) as got:
+            check_agreement(built, (bad_b, bad_a))
+        assert "for agent 'a'" in str(got.value)
 
 
 def test_missing_possibility_set_raises_after_entries_are_stored():

@@ -11,6 +11,7 @@ from epistemic import (
     serialize_decisions,
     serialize_structure,
 )
+from epistemic import cli
 from epistemic.cli import main
 
 
@@ -201,3 +202,39 @@ def test_validate_fails_on_damaged_counterfactual(tmp_path, d1_cf, capsys):
     assert main(["validate", str(path)]) == 1
     out = capsys.readouterr().out
     assert "verification: FAIL" in out and "relations_serial" in out
+
+
+def test_one_parser_serves_every_call(tmp_path, d1, d1_path, capsys):
+    decisions = write_decisions(tmp_path, gamma_family(d1))
+    calls = [
+        ["search", d1_path, "--actions", "2", "--relax", "stp", "--json"],
+        ["search", d1_path, "--actions", "2", "--relax", "stp"],
+        ["search", d1_path, "--actions", "2"],
+        ["search", d1_path, "--actions", "2", "--relax", "like_minded", "--mode", "theorem1"],
+        ["search", d1_path, "--actions", "2", "--max-families", "0"],
+        ["validate", d1_path, "--json"],
+        ["validate", d1_path],
+        ["check-agreement", d1_path, decisions, "--group", "a", "--json"],
+        ["check-agreement", d1_path, decisions],
+        ["query", d1_path, "--op", "possibility", "--agent", "a", "--state", "w1"],
+        ["query", d1_path, "--op", "possibility"],
+        ["search", d1_path, "--relax", "stp"],
+        ["frobnicate", d1_path],
+        ["flaws", d1_path, "--json"],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert [run(argv) for argv in calls] == fresh
+    assert cli.build_parser() is cli.build_parser()
+    codes = [code for code, _, _ in fresh]
+    assert codes == [1, 1, 0, 1, 2, 0, 0, 0, 0, 0, 2, 2, 2, 0]
+    assert fresh[4][2] == "error: family cap must be positive\n"
+    assert fresh[11][2].startswith("usage: epistemic search") and "--actions" in fresh[11][2]

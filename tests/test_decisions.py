@@ -35,7 +35,7 @@ from epistemic import (
 from epistemic import d1 as make_d1
 from epistemic import decisions
 from generators import random_partitional
-from oracles import complete_stp_field_reference, derive_action_function
+from oracles import complete_stp_field_reference, derive_action_function, gamma_profiles_reference
 
 
 def ev(*names):
@@ -691,6 +691,78 @@ def test_search_builds_no_decision_function_through_validation(monkeypatch):
 def test_enumeration_cap(d1):
     with pytest.raises(ResourceLimitError):
         list(enumerate_decision_profiles(d1, 3, max_families=100))
+
+
+def _chain(n):
+    states = [f"s{k:02d}" for k in range(n)]
+    return InformationStructure(states, ["a", "b"], {
+        "a": equivalence_pairs([[states[k], states[k + 1]] for k in range(0, n, 2)]),
+        "b": equivalence_pairs([[states[k], states[(k + 1) % n]] for k in range(1, n, 2)]),
+    })
+
+
+def _stream_outcome(stream):
+    """Every family of a stream in order, or the type and message of the error it raised."""
+    try:
+        return list(stream)
+    except EpistemicError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("stp", [False, True])
+@pytest.mark.parametrize("like_minded", [False, True])
+def test_like_minded_join_matches_the_filtered_product(stp, like_minded):
+    rng = random.Random(211)
+    seeded = {2: [], 3: []}
+    while min(len(found) for found in seeded.values()) < 5:
+        S = random_partitional(rng, max_states=4, max_agents=3, max_cells=3)
+        if len(S.agents) >= 2 and len(S.states) >= 3 and len(seeded[len(S.agents)]) < 5:
+            seeded[len(S.agents)].append(S)
+    # c shares w0+w1 and w2 with a, and w0 and w1+w2 with b only, so its bucket key reads both
+    states = ["w0", "w1", "w2"]
+    three = InformationStructure(states, ["a", "b", "c"], {
+        "a": equivalence_pairs([["w0", "w1"], ["w2"]]),
+        "b": equivalence_pairs([["w0"], ["w1", "w2"]]),
+        "c": equivalence_pairs([[s] for s in states]),
+    })
+    cases = [(make_d1(), k) for k in (1, 2, 3)] + [(_chain(6), 2), (three, 2)]
+    cases += [(S, 2) for S in seeded[2] + seeded[3]]
+    compared = Counter()
+    for S, k in cases:
+        # d1 with 3 actions and the principle has exactly 20,475 candidate families
+        for cap in (20_475, 40):
+            kwargs = dict(stp=stp, like_minded=like_minded, max_families=cap)
+            got = _stream_outcome(enumerate_decision_profiles(S, k, **kwargs))
+            assert got == _stream_outcome(gamma_profiles_reference(S, k, **kwargs))
+            if isinstance(got, list):
+                compared[len(S.agents)] += len(got)
+            else:
+                assert got[0] is ResourceLimitError
+                compared["raised"] += 1
+    assert compared[2] > 1000 and compared[3] > 100 and compared["raised"] > 0
+
+
+@pytest.mark.parametrize("kind", ["gamma", "field"])
+def test_family_cap_must_be_positive(d1, kind):
+    for cap in (0, -1):
+        with pytest.raises(InputError, match="^family cap must be positive$"):
+            next(enumerate_decision_profiles(d1, 2, kind=kind, max_families=cap))
+        mode = "theorem2" if kind == "gamma" else "theorem1"
+        for relax in ((), ("stp",), ("like_minded",)):
+            with pytest.raises(InputError, match="^family cap must be positive$"):
+                search_disagreement(d1, 2, relax=relax, mode=mode, max_families=cap)
+    # the smallest positive cap still counts families as before
+    assert len(list(enumerate_decision_profiles(d1, 1, kind=kind, max_families=1))) == 1
+
+
+def test_empty_field_is_refused_before_any_family(d1):
+    for stp, like_minded in itertools.product([False, True], repeat=2):
+        families = enumerate_decision_profiles(d1, 2, kind="field", field=[], stp=stp, like_minded=like_minded)
+        with pytest.raises(InputError, match="^field must contain at least one event$"):
+            next(families)
+    for relax in ((), ("stp",), ("like_minded",), ("like_minded", "stp")):
+        with pytest.raises(InputError, match="^field must contain at least one event$"):
+            search_disagreement(d1, 2, relax=relax, mode="theorem1", field=[])
 
 
 def test_field_enumeration_like_minded_count(d1):
