@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError, NotFoundError, PreconditionError
 from .partitions import gamma
@@ -85,14 +85,18 @@ class CounterfactualStructure:
         if set(self.labels) != expected_lambda:
             raise InputError("labels must cover exactly the non-actual states")
         by_triple: dict[tuple[str, str, str], str] = {}
+        strings: dict[Event, str] = {}  # each distinct event is checked and written once
         for name, label in self.labels.items():
             if label.agent not in structure.agents:
                 raise InputError(f"label for {name!r} names unknown agent {label.agent!r}")
             if label.base not in self.actual:
                 raise InputError(f"label for {name!r} has non-actual base {label.base!r}")
-            if not label.event or not label.event <= self.actual:
-                raise InputError(f"label for {name!r} has an event outside the actual states")
-            key = (label.agent, label.base, canonical_event_string(label.event))
+            text = strings.get(label.event)
+            if text is None:
+                if not label.event or not label.event <= self.actual:
+                    raise InputError(f"label for {name!r} has an event outside the actual states")
+                text = strings[label.event] = canonical_event_string(label.event)
+            key = (label.agent, label.base, text)
             if key in by_triple:
                 raise InputError(f"duplicate label triple for {name!r} and {by_triple[key]!r}")
             by_triple[key] = name
@@ -144,52 +148,54 @@ def build_counterfactual(
     """Duplicate-and-rewire construction over a partitional structure.
 
     For each agent i and each event e in i's union-closed domain, one block of
-    duplicates is created holding a copy of every original state. Relation
-    pairs are added according to three disjoint rules: the block's own agent
-    sees e from duplicates of states inside e and their original cell
-    otherwise, and every other agent sees the cell of the base state. The
-    result is deterministic; per-block work is independent and could be
-    parallelized without changing the outcome.
+    duplicates is created holding a copy of every original state. Each
+    duplicate's successor row follows one of three disjoint rules: the block's
+    own agent sees e from duplicates of states inside e and their original cell
+    otherwise, and every other agent sees the cell of the base state. Each row
+    is a source cell or domain event mapped once to carrier bit positions, so
+    equal rows share one int. The result is deterministic.
     """
     if not source.is_partitional():
         raise PreconditionError("counterfactual construction requires a partitional structure")
 
     agents = source.agents
-    cells: dict[str, dict[str, Event]] = {
-        i: {w: source.possibility_set(i, w) for w in source.states} for i in agents
-    }
+    states = source.states
     domains = {i: gamma(source, i, max_cells=max_cells) for i in agents}
 
     labels: dict[str, CounterfactualLabel] = {}
+    # (agent, event mask, names by base); the originals come first, as a block under no agent
+    blocks: list[tuple[str | None, int, Sequence[str]]] = [(None, 0, states)]
     for i in agents:
         for event in domains[i]:
-            for w in source.states:
-                name = counterfactual_state_name(i, w, event)
+            text = (canonical_event_string(event),)  # one member, so its canonical string is the block's
+            names = []
+            for w in states:
+                name = counterfactual_state_name(i, w, text)
                 if name in labels:
                     raise InputError(f"generated state name {name!r} collides across blocks")
                 labels[name] = CounterfactualLabel(agent=i, base=w, event=event)
-    if set(labels) & set(source.states):
+                names.append(name)
+            blocks.append((i, source._mask(event), names))
+    if set(labels) & set(states):
         raise InputError("generated counterfactual names collide with original state names")
 
-    relations = {i: set(pairs) for i, pairs in source.relations.items()}
-    for name, label in labels.items():
-        for i in agents:
-            if i == label.agent:
-                # rules (a)/(b): exactly one applies, by membership of the base in the event
-                targets = label.event if label.base in label.event else cells[i][label.base]
-            else:
-                targets = cells[i][label.base]
-            relations[i].update((name, t) for t in targets)
+    carrier = tuple(sorted([*states, *labels]))
+    position = {s: k for k, s in enumerate(carrier)}
+    bit = [1 << position[w] for w in states]
+    masks = {row for i in agents for row in source._succ[i]} | {emask for _, emask, _ in blocks}
+    lift = {m: sum(bit[k] for k in _bits(m)) for m in masks}  # source mask -> the same states in the carrier
+    cells = {i: [lift[row] for row in source._succ[i]] for i in agents}
+    succ = {i: [0] * len(carrier) for i in agents}
+    for i, emask, names in blocks:
+        event_row = lift[emask]
+        for k, name in enumerate(names):
+            at = position[name]
+            for j in agents:
+                # rules (a)/(b) for the block's own agent, by membership of the base in the event
+                succ[j][at] = event_row if j == i and emask >> k & 1 else cells[j][k]
 
-    combined = InformationStructure(
-        list(source.states) + list(labels),
-        agents,
-        relations,
-        allow_plus_in_names=True,
-    )
-    return CounterfactualStructure(
-        structure=combined, actual=source.states, labels=labels, origin=source
-    )
+    combined = InformationStructure._from_rows(carrier, agents, succ)
+    return CounterfactualStructure(structure=combined, actual=states, labels=labels, origin=source)
 
 
 @dataclass(frozen=True)
@@ -245,7 +251,8 @@ def label_block_mismatch(
 ) -> str | None:
     """How the (agent, base, event string) label triples differ from one complete
     block per agent and domain event, or None when they match exactly."""
-    expected = {(i, w, canonical_event_string(e)) for i, es in domains.items() for e in es for w in bases}
+    expected = {(i, w, text) for i, es in domains.items() for text in map(canonical_event_string, es)
+                for w in bases}
     got = set(labels)
     if got == expected:
         return None
@@ -283,8 +290,13 @@ def verify_counterfactual(
     def first(mask: int) -> str:
         return states[next(_bits(mask))]
 
+    strings: dict[int, str] = {}
+
     def event_string(mask: int) -> str:
-        return "+".join(states[k] for k in _bits(mask))
+        text = strings.get(mask)
+        if text is None:
+            text = strings[mask] = "+".join(states[k] for k in _bits(mask))
+        return text
 
     def unrealized(i: str, base: str, u: int) -> str | None:
         """Why i does not believe exactly u at the duplicate labelled (i, base, u), or None."""

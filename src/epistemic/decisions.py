@@ -313,26 +313,25 @@ def complete_stp_field(field: Iterable[Event], table: Mapping[Event, str]) -> di
         elif out[event] != action:
             raise InputError(f"table already violates the principle at {canonical_event_string(event)}")
 
-    def search(start: int, union: int, action: str | None) -> None:
-        # Depth first in canonical order; every family of two or more is filled in as it is found.
-        nonlocal nodes
-        for k in range(start, len(valued)):
-            mask, value = valued[k]
-            if mask & union or action is not None and value != action:
-                continue
-            nodes += 1
-            if nodes > _FAMILY_NODE_CAP:
-                raise ResourceLimitError(f"completion search passed {_FAMILY_NODE_CAP} nodes")
-            if action is not None:
-                fill(union | mask, value)
-            search(k + 1, union | mask, value)
-
     changed = True
     while changed:
         changed = False
         # Values taken at the start of the round: a union filled in joins the search next round.
         valued = [(masks[k], out[e]) for k, e in enumerate(events) if e in out]
-        search(0, 0, None)
+        # Depth first in canonical order from a stack, as in _disjoint_families; every node below the
+        # root counts, and every family of two or more is filled in as it is popped.
+        stack: list[tuple[int, int, str | None, int]] = [(0, 0, None, 0)]  # (start, union, action, depth)
+        while stack:
+            start, union, action, depth = stack.pop()
+            if depth:
+                nodes += 1
+                if nodes > _FAMILY_NODE_CAP:
+                    raise ResourceLimitError(f"completion search passed {_FAMILY_NODE_CAP} nodes")
+                if depth >= 2:
+                    fill(union, action)
+            children = [k for k in range(start, len(valued))
+                        if not (valued[k][0] & union or depth and valued[k][1] != action)]
+            stack.extend((k + 1, union | valued[k][0], valued[k][1], depth + 1) for k in reversed(children))
     return out
 
 

@@ -33,6 +33,7 @@ from .decisions import DecisionFunction
 from .errors import EpistemicError, InputError, ParseError
 from .partitions import gamma
 from .structures import (
+    Event,
     InformationStructure,
     _bits,
     canonical_event_string,
@@ -95,11 +96,11 @@ def _pieces(items: Iterable[str], indent: str, brackets: str = "[]") -> list[str
     return out
 
 
-def _label(name: str, label: CounterfactualLabel) -> str:
+def _label(name: str, agent: str, base: str, event: str) -> str:
     return "".join(_pieces([
-        '"agent": ' + encode_basestring(label.agent),
-        '"base": ' + encode_basestring(label.base),
-        '"event": ' + encode_basestring(canonical_event_string(label.event)),
+        '"agent": ' + encode_basestring(agent),
+        '"base": ' + encode_basestring(base),
+        '"event": ' + encode_basestring(event),
         '"state": ' + encode_basestring(name),
     ], "      ", "{}"))
 
@@ -123,7 +124,8 @@ def serialize_structure(value) -> str:
     """The canonical text of a structure or counterfactual structure, written directly; it equals
     ``canonical_json(structure_to_document(value))`` byte for byte."""
     if isinstance(value, CounterfactualStructure):
-        S, labels = value.structure, value.labels
+        # by name; the (agent, base, event string) triples were written once, when the labels were checked
+        S, labels = value.structure, sorted((name, triple) for triple, name in value._by_triple.items())
     elif isinstance(value, InformationStructure):
         S, labels = value, None
     else:
@@ -133,7 +135,7 @@ def serialize_structure(value) -> str:
     parts = ['{\n  "agents": ', *_pieces(agents, "  ")]
     if labels is not None:
         parts.append(',\n  "provenance": {\n    "labels": ')
-        parts += _pieces((_label(name, label) for name, label in sorted(labels.items())), "    ")
+        parts += _pieces((_label(name, *triple) for name, triple in labels), "    ")
         parts += [',\n    "origin_hash": ', encode_basestring(structure_hash(value.origin)), "\n  }"]
     parts.append(',\n  "relations": {')
     for k, (enc, agent) in enumerate(zip(agents, S.agents)):
@@ -206,6 +208,7 @@ def _attach_provenance(structure: InformationStructure, provenance) -> Counterfa
     origin_hash = _expect(provenance, "origin_hash", str, "provenance")
     labels_doc = _expect(provenance, "labels", list, "provenance")
     labels: dict[str, CounterfactualLabel] = {}
+    events: dict[str, Event] = {}  # one event per distinct string
     for entry in labels_doc:
         if not isinstance(entry, dict) or set(entry) != _LABEL_KEYS:
             raise ParseError(f"label entry {entry!r} must have exactly the keys {sorted(_LABEL_KEYS)}")
@@ -214,10 +217,12 @@ def _attach_provenance(structure: InformationStructure, provenance) -> Counterfa
         name = entry["state"]
         if name in labels:
             raise ParseError(f"duplicate label for state {name!r}")
-        try:
-            event = parse_event_string(entry["event"])
-        except InputError as exc:
-            raise ParseError(f"label for {name!r}: {exc}") from None
+        event = events.get(entry["event"])
+        if event is None:
+            try:
+                event = events[entry["event"]] = parse_event_string(entry["event"])
+            except InputError as exc:
+                raise ParseError(f"label for {name!r}: {exc}") from None
         labels[name] = CounterfactualLabel(agent=entry["agent"], base=entry["base"], event=event)
 
     state_set = set(structure.states)
@@ -241,10 +246,9 @@ def _attach_provenance(structure: InformationStructure, provenance) -> Counterfa
         domains = {agent: gamma(origin, agent) for agent in origin.agents}
     except EpistemicError as exc:
         raise ParseError(str(exc)) from None
+    # one entry per label; parse_event_string accepted each event string only in canonical form
     mismatch = label_block_mismatch(
-        domains,
-        origin.states,
-        ((label.agent, label.base, canonical_event_string(label.event)) for label in labels.values()),
+        domains, origin.states, ((entry["agent"], entry["base"], entry["event"]) for entry in labels_doc)
     )
     if mismatch is not None:
         raise ParseError(f"labels do not form complete duplicate blocks ({mismatch})")

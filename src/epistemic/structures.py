@@ -144,13 +144,12 @@ class InformationStructure:
         if len(set(agent_list)) != len(agent_list):
             raise InputError("duplicate agent names")
 
-        self.states = tuple(sorted(state_list))
-        self.agents = tuple(sorted(agent_list))
-        self._index = {s: k for k, s in enumerate(self.states)}
-        self._full = (1 << len(self.states)) - 1
+        states_t = tuple(sorted(state_list))
+        agents_t = tuple(sorted(agent_list))
+        index = {s: k for k, s in enumerate(states_t)}
 
         rel_keys = set(relations)
-        declared = set(self.agents)
+        declared = set(agents_t)
         if rel_keys != declared:
             missing = sorted(declared - rel_keys)
             extra = sorted(rel_keys - declared)
@@ -158,19 +157,39 @@ class InformationStructure:
                 f"relations must be given for exactly the declared agents (missing {missing}, extra {extra})"
             )
         succ: dict[str, list[int]] = {}
-        for agent in self.agents:
-            masks = [0] * len(self.states)
+        for agent in agents_t:
+            masks = [0] * len(states_t)
             for pair in relations[agent]:
                 try:
                     src, dst = pair
                 except (TypeError, ValueError):
                     raise InputError(f"relation entry {pair!r} for agent {agent!r} is not a pair") from None
-                if src not in self._index:
+                if src not in index:
                     raise InputError(f"relation for agent {agent!r} references unknown state {src!r}")
-                if dst not in self._index:
+                if dst not in index:
                     raise InputError(f"relation for agent {agent!r} references unknown state {dst!r}")
-                masks[self._index[src]] |= 1 << self._index[dst]
-            succ[agent] = masks
+                masks[index[src]] |= 1 << index[dst]
+            shared: dict[int, int] = {}
+            succ[agent] = [shared.setdefault(row, row) for row in masks]  # one int per distinct row
+        self._set_slots(states_t, agents_t, index, succ)
+
+    @classmethod
+    def _from_rows(cls, states: tuple[str, ...], agents: tuple[str, ...],
+                   succ: dict[str, list[int]]) -> InformationStructure:
+        """A structure from checked parts: sorted, distinct state and agent names and one successor
+        row per state for each agent; equal to the public build on the same pairs. No name goes
+        through ``validate_token``: the one caller, ``build_counterfactual``, joins validated
+        agent and state tokens with ':' and '+', and refuses a generated name that collides."""
+        structure = cls.__new__(cls)
+        structure._set_slots(states, agents, {s: k for k, s in enumerate(states)}, succ)
+        return structure
+
+    def _set_slots(self, states: tuple[str, ...], agents: tuple[str, ...],
+                   index: dict[str, int], succ: dict[str, list[int]]) -> None:
+        self.states = states
+        self.agents = agents
+        self._index = index
+        self._full = (1 << len(states)) - 1
         self._succ = succ
         # The per-structure index: immutable facts keyed by ("report",), ("agent"|"gamma"|"domain"|"stp", a),
         # ("shared", a, b), ("reach", *group), ("reach_groups", *group) or, on a counterfactual carrier,

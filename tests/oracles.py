@@ -9,9 +9,11 @@ successor masks: one breadth-first search per state for the group reach, and
 a restriction that filters the sorted relation pairs. The next is the
 principle's completion on a field as it was before fields were compiled once:
 every round re-indexes the valued events and collects every same-action
-family before filling any union in. The last is the gamma enumeration as it
+family before filling any union in. The next is the gamma enumeration as it
 was before like-mindedness became a join: the full product of the agents'
-tables, filtered.
+tables, filtered. The last is the counterfactual build as it was before it
+wrote successor rows: a set of relation pairs per agent, which the public
+constructor turns into rows.
 """
 
 import itertools
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from epistemic import (
+    CounterfactualLabel,
     CounterfactualStructure,
     DecisionFunction,
     DomainError,
@@ -29,6 +32,8 @@ from epistemic import (
     PreconditionError,
     ResourceLimitError,
     canonical_event_string,
+    counterfactual_state_name,
+    gamma,
     normalize_actions,
 )
 from epistemic.decisions import GAMMA_KIND, _gamma_tables, _shared_events, _undecided, _validate_gamma_domain
@@ -216,3 +221,49 @@ def gamma_profiles_reference(
         ):
             continue
         yield tuple(DecisionFunction(agent=a, kind=GAMMA_KIND, table=dict(tables[a])) for a in agents)
+
+
+def build_counterfactual_reference(
+    source: InformationStructure, *, max_cells: int | None = None
+) -> CounterfactualStructure:
+    """The duplicate-and-rewire construction from relation pairs: each
+    duplicate's targets are added to a pair set per agent, by the three rules."""
+    if not source.is_partitional():
+        raise PreconditionError("counterfactual construction requires a partitional structure")
+
+    agents = source.agents
+    cells: dict[str, dict[str, Event]] = {
+        i: {w: source.possibility_set(i, w) for w in source.states} for i in agents
+    }
+    domains = {i: gamma(source, i, max_cells=max_cells) for i in agents}
+
+    labels: dict[str, CounterfactualLabel] = {}
+    for i in agents:
+        for event in domains[i]:
+            for w in source.states:
+                name = counterfactual_state_name(i, w, event)
+                if name in labels:
+                    raise InputError(f"generated state name {name!r} collides across blocks")
+                labels[name] = CounterfactualLabel(agent=i, base=w, event=event)
+    if set(labels) & set(source.states):
+        raise InputError("generated counterfactual names collide with original state names")
+
+    relations = {i: set(pairs) for i, pairs in source.relations.items()}
+    for name, label in labels.items():
+        for i in agents:
+            if i == label.agent:
+                # rules (a)/(b): exactly one applies, by membership of the base in the event
+                targets = label.event if label.base in label.event else cells[i][label.base]
+            else:
+                targets = cells[i][label.base]
+            relations[i].update((name, t) for t in targets)
+
+    combined = InformationStructure(
+        list(source.states) + list(labels),
+        agents,
+        relations,
+        allow_plus_in_names=True,
+    )
+    return CounterfactualStructure(
+        structure=combined, actual=source.states, labels=labels, origin=source
+    )

@@ -21,13 +21,14 @@ from epistemic import (
     equivalence_pairs,
     gamma,
     negative_introspection_counterexample,
+    parse_structure,
     serialize_structure,
     structure_to_document,
     verify_counterfactual,
 )
 from epistemic.counterfactual import _verification_groups
 from generators import random_partitional, random_structure
-from oracles import reach_masks_per_state, restricted_to_reference
+from oracles import build_counterfactual_reference, reach_masks_per_state, restricted_to_reference
 from test_acceptance import _verified_corpus
 
 
@@ -652,3 +653,61 @@ def test_derived_pairs_match_the_given_pairs_and_the_sorted_reference():
 def test_repr_counts_relation_pairs(d1, d1_cf):
     assert repr(d1) == "InformationStructure(4 states, 2 agents, 14 relation pairs)"
     assert repr(d1_cf.structure) == "InformationStructure(44 states, 2 agents, 182 relation pairs)"
+
+
+# ---------------------------------------------------------------------------
+# the carrier written from successor rows, against the pair-set build
+# ---------------------------------------------------------------------------
+
+
+def _colon_heavy(agents):
+    """Two singleton cells per agent on states whose names hold a colon."""
+    return InformationStructure(
+        ["b:w0", "w0"], agents, {a: equivalence_pairs([["b:w0"], ["w0"]]) for a in agents}
+    )
+
+
+def test_row_build_matches_the_pair_reference():
+    sources = [S for S, _, _ in _verified_corpus()]
+    sources += [_chain(n) for n in range(4, 13, 2)]
+    sources.append(_colon_heavy(["a", "c:d"]))  # colons in every generated name, but no collision
+    for S in sources:
+        built, want = build_counterfactual(S), build_counterfactual_reference(S)
+        assert built == want
+        assert list(built.labels.items()) == list(want.labels.items())
+        assert built._by_triple == want._by_triple == {
+            (label.agent, label.base, canonical_event_string(label.event)): name
+            for name, label in want.labels.items()
+        }
+        assert serialize_structure(built) == serialize_structure(want)
+    # the colliding colon-heavy case is refused by both, with one message
+    messages = set()
+    for build in (build_counterfactual, build_counterfactual_reference):
+        with pytest.raises(InputError) as err:
+            build(_colon_heavy(["a", "a:b"]))
+        messages.add(str(err.value))
+    assert len(messages) == 1 and "collides" in messages.pop()
+
+
+def test_rows_in_entry_point_equals_the_public_constructor():
+    rng = random.Random(110)
+    carriers = [build_counterfactual(S).structure for S in map(_chain, (4, 6, 8))]
+    carriers += [random_structure(rng, max_states=8) for _ in range(40)]  # some rows empty
+    for S in carriers:
+        rows = {a: list(S._succ[a]) for a in S.agents}
+        got = InformationStructure._from_rows(S.states, S.agents, rows)
+        want = InformationStructure(
+            S.states, S.agents, {a: S._pairs_in(a, S._full) for a in S.agents}, allow_plus_in_names=True
+        )
+        assert got == want
+        assert (got.states, got.agents, got._index, got._full, got._facts) == (
+            want.states, want.agents, want._index, want._full, want._facts)
+
+
+def test_built_and_parsed_carriers_keep_one_int_per_distinct_row():
+    built = build_counterfactual(_chain(12))
+    parsed = parse_structure(serialize_structure(built))
+    assert parsed == built
+    for S in (built.structure, parsed.structure):
+        for rows in S._succ.values():
+            assert len({id(r) for r in rows}) == len(set(rows)) < len(rows)

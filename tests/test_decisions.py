@@ -1,5 +1,6 @@
 """Decision functions, the Sure-Thing Principle, like-mindedness, enumeration."""
 
+import gc
 import itertools
 import random
 import time
@@ -335,6 +336,20 @@ def test_complete_stp_field_node_cap(monkeypatch):
     monkeypatch.setattr(decisions, "_FAMILY_NODE_CAP", 5)
     with pytest.raises(ResourceLimitError, match="passed 5 nodes"):
         complete_stp_field(field, table)
+
+
+def test_complete_stp_field_leaves_no_reference_cycles(d1):
+    field = powerset_field(d1)
+    table = {e: "x" for e in field if len(e) == 1}
+    complete_stp_field(field, table)  # fill the compiled-field cache first
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            assert complete_stp_field(field, table) == {e: "x" for e in field}
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_stp_field_input_errors_in_order():

@@ -1,9 +1,11 @@
-"""Source hygiene: no `assert` invariants, no random sampling, one canonical layout.
+"""Source hygiene: no `assert` invariants, no random sampling, one canonical layout,
+two constructor bypasses.
 
 ``python -O`` strips ``assert`` statements, so a runtime invariant written as
 one silently disappears; every check the library runs is exact, so it has no
-use for the ``random`` module; and the indented JSON layout is defined once,
-in ``serialization.canonical_json``.
+use for the ``random`` module; the indented JSON layout is defined once,
+in ``serialization.canonical_json``; and ``__new__`` skips a constructor's
+checks, so only the two entry points that take parts already checked call it.
 """
 
 import ast
@@ -47,3 +49,18 @@ def test_indented_json_is_written_only_by_canonical_json():
             name = max(enclosing, key=lambda f: f.lineno).name if enclosing else "<module>"
             writers.append((path.name, name))
     assert writers == [("serialization.py", "canonical_json")]
+
+
+def test_new_is_called_only_by_the_two_checked_parts_entry_points():
+    callers = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text("utf-8"), filename=str(path))
+        scopes = [n for n in ast.walk(tree) if isinstance(n, (ast.ClassDef, ast.FunctionDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "__new__":
+                around = [s for s in scopes if s.lineno <= node.lineno <= s.end_lineno]
+                callers.append((path.name, ".".join(s.name for s in sorted(around, key=lambda s: s.lineno))))
+    assert sorted(callers) == [
+        ("decisions.py", "DecisionFunction._built"),
+        ("structures.py", "InformationStructure._from_rows"),
+    ]

@@ -208,6 +208,48 @@ def test_provenance_incomplete_blocks_rejected(d1_cf):
         parse_structure(json.dumps(doc))
 
 
+def _mutated_golden_counterfactual(kind):
+    doc = json.loads((GOLDEN / "d1_counterfactual.json").read_text("utf-8"))
+    labels = doc["provenance"]["labels"]
+    if kind == "non-canonical event":
+        labels[0]["event"] = "w1+w0"
+    elif kind == "empty member":
+        labels[0]["event"] = "w0++w1"
+    elif kind == "one bad event on two labels":
+        labels[3]["event"] = labels[5]["event"] = "w1+w0"
+    elif kind == "duplicate label":
+        labels.append(dict(labels[0]))
+    elif kind == "undeclared state":
+        labels[0]["state"] = "cf:a:w0:nowhere"
+    elif kind == "missing block":  # the states, their relations and their labels all go
+        gone = {label["state"] for label in labels if label["agent"] == "a" and label["event"] == "w0+w1"}
+        doc["provenance"]["labels"] = [label for label in labels if label["state"] not in gone]
+        doc["states"] = [s for s in doc["states"] if s not in gone]
+        doc["relations"] = {a: [p for p in pairs if p[0] not in gone] for a, pairs in doc["relations"].items()}
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("non-canonical event", "label for 'cf:a:w0:w0+w1': event string 'w1+w0' is not canonical (sorted, unique)"),
+    ("empty member", "label for 'cf:a:w0:w0+w1': empty state name in event string 'w0++w1'"),
+    ("one bad event on two labels",
+     "label for 'cf:a:w1:w0+w1': event string 'w1+w0' is not canonical (sorted, unique)"),
+    ("duplicate label", "duplicate label for state 'cf:a:w0:w0+w1'"),
+    ("undeclared state", "label references undeclared state 'cf:a:w0:nowhere'"),
+    ("missing block", "labels do not form complete duplicate blocks (missing [('a', 'w0', 'w0+w1'), "
+                      "('a', 'w1', 'w0+w1'), ('a', 'w2', 'w0+w1')], unexpected [])"),
+])
+def test_label_errors_keep_their_messages(tmp_path, capsys, kind, message):
+    text = _mutated_golden_counterfactual(kind)
+    with pytest.raises(ParseError) as err:
+        parse_structure(text)
+    assert str(err.value) == message
+    path = tmp_path / "bad.json"
+    path.write_text(text, "utf-8")
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 _INTO_DUPLICATES = """
 import sys
 from epistemic import ParseError, parse_structure
