@@ -20,9 +20,8 @@ the resulting violations can be inspected together with the failed hypothesis.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .counterfactual import CounterfactualStructure, build_counterfactual
 from .decisions import (
@@ -48,6 +47,8 @@ MODE_THEOREM1 = "theorem1"
 MODE_THEOREM2 = "theorem2"
 
 RELAXABLE = ("like_minded", "stp")
+
+_HYPOTHESES_MET = ViolationList(entries=())  # frozen, so every verdict whose hypotheses hold can share it
 
 
 @dataclass(frozen=True)
@@ -156,11 +157,17 @@ def _compiled_gamma(target: CounterfactualStructure, df: DecisionFunction,
 
 
 def _normalize_family(
-    structure_agents: tuple[str, ...], family: Sequence[DecisionFunction], kind: str
+    structure_agents: tuple[str, ...], family: Iterable[DecisionFunction], kind: str
 ) -> tuple[DecisionFunction, ...]:
-    dfs = tuple(sorted(family, key=lambda d: d.agent))
-    if tuple(d.agent for d in dfs) != structure_agents:
-        raise InputError("decision family must contain exactly one function per agent")
+    try:
+        dfs = tuple(family)
+        agents = tuple([df.agent for df in dfs])
+    except (TypeError, AttributeError):
+        raise InputError("decision family must be an iterable of decision functions") from None
+    if agents != structure_agents:  # the enumerator and parse_decisions yield families in agent order
+        dfs = tuple(sorted(dfs, key=lambda d: d.agent))
+        if tuple(d.agent for d in dfs) != structure_agents:
+            raise InputError("decision family must contain exactly one function per agent")
     for df in dfs:
         if df.kind != kind:
             raise InputError(f"mode expects {kind}-kind decision functions, agent {df.agent!r} differs")
@@ -169,7 +176,7 @@ def _normalize_family(
 
 def check_agreement(
     target,
-    family: Sequence[DecisionFunction],
+    family: Iterable[DecisionFunction],
     group: Iterable[str] | None = None,
     mode: str = MODE_THEOREM2,
     *,
@@ -192,7 +199,7 @@ def check_agreement(
         dfs = _normalize_family(carrier.agents, family, GAMMA_KIND)
         cap = resolve_max_cells(max_cells)
         keys = [_table_key(source, df, cap) for df in dfs]
-        hyp.extend(_disagreements(source, dfs, cap))
+        hyp.extend(_disagreements(carrier.agents, keys, 2, source, cap))  # a key's actions start at index 2
         compiled = [_compiled_gamma(target, df, key, cap) for df, key in zip(dfs, keys)]
         for entry in compiled:
             hyp.extend(entry.stp)
@@ -213,9 +220,12 @@ def check_agreement(
     else:
         raise InputError(f"unknown mode {mode!r}")
 
-    members = carrier._group(group) if group is not None else carrier.agents
-    by_agent = {df.agent: entry for df, entry in zip(dfs, compiled)}
-    entries = [by_agent[a] for a in members]
+    members = carrier.agents if group is None else carrier._group(group)
+    if members == carrier.agents:
+        entries = compiled  # already in agent order
+    else:
+        by_agent = {df.agent: entry for df, entry in zip(dfs, compiled)}
+        entries = [by_agent[a] for a in members]
     # A class commonly believes a profile's agreement event when its reach lies inside it. Each
     # member's action masks split the carrier, so a reach lies inside at most one of them per
     # member. No reach is empty: _compile found every member a decision at every state, and the
@@ -235,7 +245,7 @@ def check_agreement(
             fixed[key] = fixed.get(key, 0) | states
     violations: list[AgreementViolation] = []
     for key, cb in sorted(fixed.items()):  # index tuples in sorted order are profiles in product order
-        combo = tuple(e.actions[k] for e, k in zip(entries, key))
+        combo = tuple([e.actions[k] for e, k in zip(entries, key)])
         if len(set(combo)) == 1:
             continue
         agreement = carrier._full
@@ -253,12 +263,15 @@ def check_agreement(
                 ),
             )
         )
+    profiles = 1
+    for e in entries:  # a loop, not math.prod over a comprehension: this runs for every family
+        profiles *= len(e.actions)
     return AgreementVerdict(
         mode=mode,
         group=members,
-        profiles_checked=math.prod(len(e.actions) for e in entries),
+        profiles_checked=profiles,
         violations=tuple(violations),
-        hypothesis_violations=ViolationList(entries=tuple(hyp)),
+        hypothesis_violations=ViolationList(entries=tuple(hyp)) if hyp else _HYPOTHESES_MET,
     )
 
 

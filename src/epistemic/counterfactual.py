@@ -101,7 +101,7 @@ class CounterfactualStructure:
                 raise InputError(f"duplicate label triple for {name!r} and {by_triple[key]!r}")
             by_triple[key] = name
         self._by_triple = by_triple
-        outside = ~structure._mask(self.actual)
+        outside = structure._full & ~structure._mask(self.actual)  # positive: a negative mask widens every &
         for agent in structure.agents:
             for k, row in enumerate(structure._succ[agent]):
                 if row & outside:
@@ -279,8 +279,7 @@ def verify_counterfactual(
     agents = S.agents
     succ = S._succ
     actual = S._mask(built.actual)
-    outside = ~actual
-    duplicates = S._full & outside
+    duplicates = S._full & ~actual  # positive: a negative mask widens every & to full width
     properties = S.relation_properties()
     checks: list[CheckResult] = []
 
@@ -313,7 +312,7 @@ def verify_counterfactual(
         if mismatch is None else mismatch)
 
     bad_target = next(
-        ((i, states[k], first(row & outside)) for i in agents for k, row in enumerate(succ[i]) if row & outside),
+        ((i, states[k], first(row & duplicates)) for i in agents for k, row in enumerate(succ[i]) if row & duplicates),
         None,
     )
     add(
@@ -371,8 +370,8 @@ def verify_counterfactual(
             if reach in seen:
                 continue
             seen.add(reach)
-            if reach & outside and reach_witness is None:
-                reach_witness = (g, states[k], first(reach & outside))
+            if reach & duplicates and reach_witness is None:
+                reach_witness = (g, states[k], first(reach & duplicates))
             for i in g:
                 covered = 0
                 for v in _bits(reach):

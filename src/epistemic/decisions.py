@@ -107,7 +107,10 @@ def normalize_actions(actions) -> tuple[str, ...]:
         if actions < 1:
             raise InputError("need at least one action")
         return tuple(str(k) for k in range(actions))
-    names = sorted(set(actions))
+    try:
+        names = sorted(set(actions))
+    except TypeError:
+        raise InputError(f"actions must be a count or an iterable of action names, got {actions!r}") from None
     if not names:
         raise InputError("need at least one action")
     for a in names:
@@ -134,20 +137,33 @@ def union_of_gammas(structure: InformationStructure, *, max_cells: int | None = 
 def _domain(structure: InformationStructure, agent: str,
             max_cells: int | None) -> tuple[tuple[Event, ...], frozenset[Event]]:
     """The agent's union closure, in canonical order and as a set."""
-    def build():
-        order = gamma(structure, agent, max_cells=max_cells)
-        return len(partition(structure, agent)), order, frozenset(order)
+    fact = structure._facts.get(("domain", agent))  # read directly on a hit: _memo takes a closure
+    if fact is None:
+        def build():
+            order = gamma(structure, agent, max_cells=max_cells)
+            return len(partition(structure, agent)), order, frozenset(order)
 
-    cells, order, domain = structure._memo(("domain", agent), build)
+        fact = structure._memo(("domain", agent), build)
+    cells, order, domain = fact
     # Compared on every call, so a stored domain never bypasses the cap; gamma raises the error.
     if cells > (resolve_max_cells() if max_cells is None else max_cells):
         gamma(structure, agent, max_cells=max_cells)
     return order, domain
 
 
-def _shared_events(structure: InformationStructure, i: str, j: str, max_cells: int | None) -> tuple[Event, ...]:
-    return structure._memo(("shared", i, j), lambda: tuple(sorted(
-        _domain(structure, i, max_cells)[1] & _domain(structure, j, max_cells)[1], key=canonical_event_string)))
+def _shared_events(structure: InformationStructure, i: str, j: str,
+                   max_cells: int | None) -> tuple[tuple[Event, int, int], ...]:
+    """(event, its position in i's domain order, its position in j's) for every event both
+    agents' domains hold, in canonical order."""
+    shared = structure._facts.get(("shared", i, j))
+    if shared is None:
+        def build():
+            order = _domain(structure, i, max_cells)[0]
+            at_j = {e: q for q, e in enumerate(_domain(structure, j, max_cells)[0])}
+            return tuple((e, p, at_j[e]) for p, e in enumerate(order) if e in at_j)
+
+        shared = structure._memo(("shared", i, j), build)
+    return shared
 
 
 def _validate_gamma_domain(structure: InformationStructure, df: DecisionFunction,
@@ -363,37 +379,44 @@ def check_like_minded(
     kind = kinds.pop()
     if kind == GAMMA_KIND and structure is None:
         raise InputError("gamma-kind like-mindedness needs the underlying structure")
+    orders = {}
     for df in dfs:
         if kind == GAMMA_KIND:
-            _validate_gamma_domain(structure, df, max_cells=max_cells)
+            orders[df.agent] = _validate_gamma_domain(structure, df, max_cells=max_cells)
         elif df.table.keys() != dfs[0].table.keys():
             raise InputError(
                 f"field decision functions must share one domain; agent {df.agent!r} differs"
             )
-    return ViolationList(entries=_disagreements(structure if kind == GAMMA_KIND else None, dfs, max_cells))
+    dfs = sorted(dfs, key=lambda d: d.agent)
+    agents = [df.agent for df in dfs]
+    if kind == GAMMA_KIND:
+        rows = [[df.table[e] for e in orders[df.agent]] for df in dfs]
+        return ViolationList(entries=_disagreements(agents, rows, 0, structure, max_cells))
+    events = _compiled_field(frozenset(dfs[0].table))[0]
+    rows = [[df.table[e] for e in events] for df in dfs]
+    return ViolationList(entries=_disagreements(agents, rows, 0, None, field=events))
 
 
-def _disagreements(structure: InformationStructure | None, dfs: Sequence[DecisionFunction],
-                   max_cells: int | None) -> tuple[Violation, ...]:
-    """Like-mindedness of validated tables: gamma kind on ``structure``, field kind without."""
-    tables = {df.agent: df.table for df in dfs}
+def _disagreements(agents: Sequence[str], rows: Sequence[Sequence[str]], start: int,
+                   structure: InformationStructure | None, max_cells: int | None = None,
+                   field: tuple[Event, ...] = ()) -> tuple[Violation, ...]:
+    """Like-mindedness of validated tables in agent order, compared by position.
+
+    ``rows[k][start + p]`` is agent k's action on the event at position p of its domain
+    order. Gamma tables read each pair's shared events, with their positions, from the
+    ``("shared", i, j)`` facts of ``structure``. Field tables (``structure`` None) share
+    one domain, so every row follows the canonical order of ``field``.
+    """
     violations = []
-    for i, j in itertools.combinations(sorted(tables), 2):
-        # Field tables share one domain, which check_like_minded has verified.
-        shared = (_shared_events(structure, i, j, max_cells) if structure is not None
-                  else _compiled_field(frozenset(tables[i]))[0])
-        for event in shared:
-            if tables[i][event] != tables[j][event]:
-                violations.append(
-                    Violation(
-                        kind="like-minded",
-                        agents=(i, j),
-                        events=(event,),
-                        union_event=None,
-                        expected=tables[i][event],
-                        actual=tables[j][event],
-                    )
-                )
+    for a, b in itertools.combinations(range(len(agents)), 2):
+        row_a, row_b = rows[a], rows[b]
+        shared = (_shared_events(structure, agents[a], agents[b], max_cells) if structure is not None
+                  else zip(field, range(len(field)), range(len(field))))
+        for event, p, q in shared:
+            expected, actual = row_a[start + p], row_b[start + q]
+            if expected != actual:
+                violations.append(Violation(kind="like-minded", agents=(agents[a], agents[b]), events=(event,),
+                                            union_event=None, expected=expected, actual=actual))
     return tuple(violations)
 
 
@@ -481,7 +504,7 @@ def _join_steps(structure: InformationStructure, agents: tuple[str, ...],
     for k, agent in enumerate(agents):
         probes: dict[Event, int] = {}
         for j in range(k):
-            for event in _shared_events(structure, agents[j], agent, max_cells):
+            for event, _, _ in _shared_events(structure, agents[j], agent, max_cells):
                 probes.setdefault(event, j)
         buckets: dict[tuple[str, ...], list[dict[Event, str]]] = {}
         for table in per_agent[k]:
@@ -525,6 +548,8 @@ def enumerate_decision_profiles(
     unconstrained stream would produce. A cap bounds the work; exceeding it
     raises :class:`ResourceLimitError` rather than truncating silently.
     """
+    if not isinstance(max_families, int):
+        raise InputError(f"family cap must be an integer, got {max_families!r}")
     if max_families < 1:
         raise InputError("family cap must be positive")
     acts = normalize_actions(actions)
@@ -541,7 +566,7 @@ def enumerate_decision_profiles(
         combos = (_join(_join_steps(structure, agents, per_agent, max_cells), ()) if like_minded
                   else itertools.product(*per_agent))
         for combo in combos:
-            yield tuple(DecisionFunction._built(a, GAMMA_KIND, dict(t)) for a, t in zip(agents, combo))
+            yield tuple([DecisionFunction._built(a, GAMMA_KIND, dict(t)) for a, t in zip(agents, combo)])
         return
 
     if kind != FIELD_KIND:

@@ -274,7 +274,10 @@ class InformationStructure:
         return value
 
     def _group(self, group: Iterable[str]) -> tuple[str, ...]:
-        members = sorted(set(group))
+        try:
+            members = sorted(set(group))
+        except TypeError:
+            raise InputError("agent group must be an iterable of agent names") from None
         if not members:
             raise InputError("agent group must be non-empty")
         for a in members:
@@ -396,7 +399,10 @@ class InformationStructure:
 
     def _reach_groups(self, group: tuple[str, ...]) -> tuple[tuple[int, int], ...]:
         """(reach, states sharing it) per distinct group reach mask, by first state (cached)."""
-        return self._memo(("reach_groups", *group), lambda: _grouped(self._reach_masks(group)))
+        groups = self._facts.get(("reach_groups", *group))  # read directly on a hit: _memo takes a closure
+        if groups is None:
+            groups = self._memo(("reach_groups", *group), lambda: _grouped(self._reach_masks(group)))
+        return groups
 
     def _common_belief_mask(self, group: tuple[str, ...], emask: int) -> int:
         outside = ~emask

@@ -11,8 +11,10 @@ principle's completion on a field as it was before fields were compiled once:
 every round re-indexes the valued events and collects every same-action
 family before filling any union in. The next is the gamma enumeration as it
 was before like-mindedness became a join: the full product of the agents'
-tables, filtered. The last is the counterfactual build as it was before it
-wrote successor rows: a set of relation pairs per agent, which the public
+tables, filtered. Next is like-mindedness as it was before it compared
+positions in the tables' entry keys: every shared event looked up in two
+tables. The last is the counterfactual build as it was before it wrote
+successor rows: a set of relation pairs per agent, which the public
 constructor turns into rows.
 """
 
@@ -31,12 +33,13 @@ from epistemic import (
     InputError,
     PreconditionError,
     ResourceLimitError,
+    Violation,
     canonical_event_string,
     counterfactual_state_name,
     gamma,
     normalize_actions,
 )
-from epistemic.decisions import GAMMA_KIND, _gamma_tables, _shared_events, _undecided, _validate_gamma_domain
+from epistemic.decisions import GAMMA_KIND, _gamma_tables, _undecided, _validate_gamma_domain
 
 
 @dataclass
@@ -213,7 +216,7 @@ def gamma_profiles_reference(
     total = math.prod(len(tables) for tables in per_agent)
     if total > max_families:
         raise ResourceLimitError(f"{total} families exceed the cap of {max_families}")
-    shared = {(i, j): _shared_events(structure, i, j, max_cells) for i, j in itertools.combinations(agents, 2)}
+    shared = {(i, j): shared_events_reference(structure, i, j, max_cells) for i, j in itertools.combinations(agents, 2)}
     for combo in itertools.product(*per_agent):
         tables = dict(zip(agents, combo))
         if like_minded and any(
@@ -221,6 +224,37 @@ def gamma_profiles_reference(
         ):
             continue
         yield tuple(DecisionFunction(agent=a, kind=GAMMA_KIND, table=dict(tables[a])) for a in agents)
+
+
+def shared_events_reference(structure: InformationStructure, i: str, j: str,
+                            max_cells: int | None = None) -> list[Event]:
+    """The events both agents' union closures hold, in canonical order."""
+    shared = set(gamma(structure, i, max_cells=max_cells)) & set(gamma(structure, j, max_cells=max_cells))
+    return sorted(shared, key=canonical_event_string)
+
+
+def disagreements_reference(structure: InformationStructure | None, dfs: Sequence[DecisionFunction],
+                            max_cells: int | None = None) -> tuple[Violation, ...]:
+    """Like-mindedness of validated tables by event lookup: gamma kind on ``structure``,
+    field kind (one shared domain) without."""
+    tables = {df.agent: df.table for df in dfs}
+    violations = []
+    for i, j in itertools.combinations(sorted(tables), 2):
+        shared = (shared_events_reference(structure, i, j, max_cells) if structure is not None
+                  else sorted(tables[i], key=canonical_event_string))
+        for event in shared:
+            if tables[i][event] != tables[j][event]:
+                violations.append(
+                    Violation(
+                        kind="like-minded",
+                        agents=(i, j),
+                        events=(event,),
+                        union_event=None,
+                        expected=tables[i][event],
+                        actual=tables[j][event],
+                    )
+                )
+    return tuple(violations)
 
 
 def build_counterfactual_reference(

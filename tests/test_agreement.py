@@ -813,3 +813,53 @@ def test_exhaustive_search_makes_the_pinned_checks(monkeypatch):
     assert search_disagreement(chain6, 2) is None
     assert calls["families"] == pins["decisions.families_enumerated"] == 8075
     assert calls["profiles"] == pins["agreement.profiles_checked"] == 46427
+
+
+# ---------------------------------------------------------------------------
+# family order and shape, and arguments of the wrong type
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", ["theorem2", "theorem1"])
+def test_family_order_and_shape_leave_the_verdict_unchanged(d1, d1_cf, mode):
+    if mode == "theorem2":
+        target, families = d1_cf, list(enumerate_decision_profiles(d1, 2))
+    else:
+        field = decisions.union_of_gammas(d1)
+        stream = enumerate_decision_profiles(d1, 2, kind="field", field=field, max_families=300_000)
+        target, families = d1, list(itertools.islice(stream, 0, 12_000, 17))
+    seen = Counter()
+    for family in families:
+        expected = check_agreement(target, family, mode=mode)
+        for shape in (family[::-1], list(family), (df for df in family)):
+            assert check_agreement(target, shape, mode=mode) == expected
+        seen[expected.passed, expected.hypotheses_met] += 1
+    assert seen[False, False] and seen[True, False] and seen[True, True]
+
+
+def test_family_with_a_missing_or_duplicated_agent_is_refused(d1, d1_cf):
+    a, b = next(enumerate_decision_profiles(d1, 2))
+    for bad in ((a,), (b,), (), (a, b, a), (a, a), (b, a, b), [b, b]):
+        with pytest.raises(InputError) as info:
+            check_agreement(d1_cf, bad)
+        assert str(info.value) == "decision family must contain exactly one function per agent"
+
+
+def test_arguments_of_the_wrong_type_raise_input_errors(d1, d1_cf):
+    family = next(enumerate_decision_profiles(d1, 2))
+    not_a_family = "decision family must be an iterable of decision functions"
+    cases = [
+        (lambda: check_agreement(d1_cf, None), not_a_family),
+        (lambda: check_agreement(d1_cf, ["x"]), not_a_family),
+        (lambda: check_agreement(d1_cf, family, group=5), "agent group must be an iterable of agent names"),
+        (lambda: search_disagreement(d1, None), "actions must be a count or an iterable of action names, got None"),
+        (lambda: next(enumerate_decision_profiles(d1, 2.0)),
+         "actions must be a count or an iterable of action names, got 2.0"),
+        (lambda: check_agreement(d1_cf, family, max_cells="3"), "cell cap must be an integer, got '3'"),
+        (lambda: partitions.resolve_max_cells("3"), "cell cap must be an integer, got '3'"),
+        (lambda: search_disagreement(d1, 2, max_families="5"), "family cap must be an integer, got '5'"),
+    ]
+    for call, message in cases:
+        with pytest.raises(InputError) as info:
+            call()
+        assert str(info.value) == message

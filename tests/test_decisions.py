@@ -20,6 +20,7 @@ from epistemic import (
     ViolationList,
     build_counterfactual,
     canonical_event_string,
+    check_agreement,
     check_like_minded,
     check_stp_field,
     check_stp_gamma,
@@ -36,7 +37,13 @@ from epistemic import (
 from epistemic import d1 as make_d1
 from epistemic import decisions
 from generators import random_partitional
-from oracles import complete_stp_field_reference, derive_action_function, gamma_profiles_reference
+from oracles import (
+    complete_stp_field_reference,
+    derive_action_function,
+    disagreements_reference,
+    gamma_profiles_reference,
+    shared_events_reference,
+)
 
 
 def ev(*names):
@@ -590,6 +597,62 @@ def test_cell_cap_checked_before_and_after_facts_are_cached(cached, monkeypatch)
             # an explicit cap wins over the environment
             assert outcome(check, S, arg, max_cells=3) == outcome(reference, S, arg, max_cells=3) == ()
         monkeypatch.delenv("EPISTEMIC_MAX_CELLS")
+
+
+# ---------------------------------------------------------------------------
+# like-mindedness by key position against the event-lookup reference
+# ---------------------------------------------------------------------------
+
+
+def _seeded_2_and_3_agent_structures(seed, per_count):
+    rng = random.Random(seed)
+    seeded = {2: [], 3: []}
+    while min(len(found) for found in seeded.values()) < per_count:
+        S = random_partitional(rng, max_states=4, max_agents=3, max_cells=3)
+        if len(S.agents) >= 2 and len(S.states) >= 3 and len(seeded[len(S.agents)]) < per_count:
+            seeded[len(S.agents)].append(S)
+    return seeded[2] + seeded[3]
+
+
+def test_shared_fact_holds_each_events_position_in_both_domains():
+    for S in [make_d1(), _chain(6), _same_cells_structure(), *_seeded_2_and_3_agent_structures(401, 4)]:
+        for i, j in itertools.combinations(S.agents, 2):
+            shared = decisions._shared_events(S, i, j, None)
+            assert [e for e, _, _ in shared] == shared_events_reference(S, i, j)
+            for event, p, q in shared:
+                assert gamma(S, i)[p] == event == gamma(S, j)[q]
+
+
+def test_keyed_like_mindedness_matches_the_lookup_reference():
+    seen = Counter()
+    for S in [make_d1(), _chain(6), *_seeded_2_and_3_agent_structures(307, 4)]:
+        built = build_counterfactual(S)
+        # like-mindedness relaxed, so that families break it; enforced, so that none does
+        for like_minded in (False, True):
+            families = enumerate_decision_profiles(S, 2, stp=True, like_minded=like_minded)
+            for family in itertools.islice(families, 1500):
+                expected = disagreements_reference(S, family)
+                assert check_like_minded(S, family).entries == expected
+                assert check_like_minded(S, family[::-1]).entries == expected
+                verdict = check_agreement(built, family)
+                assert tuple(v for v in verdict.hypothesis_violations if v.kind == "like-minded") == expected
+                seen[len(S.agents), like_minded, bool(expected)] += 1
+    assert seen[2, False, True] > 1000 and seen[3, False, True] > 100
+    assert not seen[2, True, True] and not seen[3, True, True]
+    assert seen[2, True, False] > 1000 and seen[3, True, False] > 10
+
+
+def test_keyed_field_like_mindedness_matches_the_lookup_reference():
+    seen = Counter()
+    for S in [make_d1(), *_seeded_2_and_3_agent_structures(503, 2)]:
+        field = powerset_field(S) if len(S.states) <= 3 else union_of_gammas(S)
+        families = enumerate_decision_profiles(S, 2, kind="field", field=field, stp=True, max_families=40_000)
+        for family in itertools.islice(families, 1500):
+            expected = disagreements_reference(None, family)
+            assert check_like_minded(None, family).entries == expected
+            assert check_like_minded(S, family[::-1]).entries == expected
+            seen[bool(expected)] += 1
+    assert seen[True] > 1000 and seen[False] > 10
 
 
 # ---------------------------------------------------------------------------
