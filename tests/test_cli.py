@@ -1,6 +1,7 @@
 """The command-line front end: thin wrappers, exit codes, byte-stable output."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -202,6 +203,35 @@ def test_validate_fails_on_damaged_counterfactual(tmp_path, d1_cf, capsys):
     assert main(["validate", str(path)]) == 1
     out = capsys.readouterr().out
     assert "verification: FAIL" in out and "relations_serial" in out
+
+
+EXPECTED = Path(__file__).parent / "expected"
+
+# (agent, state, new successors): one row of the d1 counterfactual rewired so
+# that a premise of the verifier's derived checks fails. Drift in an actual
+# row or a missing duplicate cannot be written as a valid document: the parser
+# takes the origin to be the actual-state core and requires complete blocks.
+DAMAGES = {
+    "empty_row": ("b", "cf:b:w0:w3", []),  # beliefs_in_decision_domain, relations_serial
+    "stray_row": ("a", "cf:b:w0:w3", ["w0"]),  # beliefs_in_decision_domain
+    "unrealized_event": ("a", "cf:a:w0:w0+w1", ["w2", "w3"]),  # every_domain_event_realized
+}
+
+
+def _damaged_document(text, agent, state, targets):
+    doc = json.loads(text)
+    rows = [p for p in doc["relations"][agent] if p[0] != state]
+    doc["relations"][agent] = rows + [[state, t] for t in targets]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("name", sorted(DAMAGES))
+@pytest.mark.parametrize("mode", ["json", "txt"])
+def test_validate_output_on_damaged_counterfactual_is_pinned(tmp_path, d1_cf, capsys, name, mode):
+    path = tmp_path / "damaged.json"
+    path.write_text(_damaged_document(serialize_structure(d1_cf), *DAMAGES[name]), "utf-8")
+    assert main(["validate", str(path), *(["--json"] if mode == "json" else [])]) == 1
+    assert capsys.readouterr().out == (EXPECTED / f"validate_{name}.{mode}").read_text("utf-8")
 
 
 def test_one_parser_serves_every_call(tmp_path, d1, d1_path, capsys):

@@ -27,7 +27,7 @@ from epistemic import (
     verify_counterfactual,
 )
 from epistemic.counterfactual import _verification_groups
-from generators import random_partitional, random_structure
+from generators import random_belief_structure, random_partitional, random_structure
 from oracles import build_counterfactual_reference, reach_masks_per_state, restricted_to_reference
 from test_acceptance import _verified_corpus
 
@@ -579,6 +579,84 @@ def test_mask_verifier_matches_frozenset_reference():
     # The constructor refuses any relation into the duplicates, so no
     # CounterfactualStructure can make these two checks fail.
     assert names - failing == {"relations_target_actual", "reach_stays_actual"}
+
+
+def _rewired(built, agent, rows):
+    """The counterfactual with some of one agent's rows replaced: {state: new successors}."""
+    S = built.structure
+    relations = {i: {p for p in S.relations[i] if i != agent or p[0] not in rows} for i in S.agents}
+    relations[agent] |= {(w, v) for w, targets in rows.items() for v in targets}
+    damaged = InformationStructure(S.states, S.agents, relations, allow_plus_in_names=True)
+    return CounterfactualStructure(
+        structure=damaged, actual=built.actual, labels=built.labels, origin=built.origin
+    )
+
+
+def _without(built, name):
+    """The counterfactual with one duplicate state and its label removed."""
+    S = built.structure
+    relations = {i: {p for p in S.relations[i] if p[0] != name} for i in S.agents}
+    damaged = InformationStructure([w for w in S.states if w != name], S.agents, relations,
+                                   allow_plus_in_names=True)
+    labels = {k: label for k, label in built.labels.items() if k != name}
+    return CounterfactualStructure(structure=damaged, actual=built.actual, labels=labels, origin=built.origin)
+
+
+def _has_reach_masks(structure):
+    return any(key[0] == "reach" for key in structure._facts)
+
+
+def test_derived_checks_are_computed_when_a_premise_fails(d1):
+    # (damaged build, the premise it breaks, the check derived from that premise)
+    cases = [
+        (_rewired(build_counterfactual(d1), "a", {"w0": ["w1"]}),
+         "restriction_matches_source", "reach_union_identity"),
+        # w0 is then nobody's a-successor among the actual states, but the
+        # duplicates' a-cell w0+w1 still reaches it
+        (_rewired(build_counterfactual(d1), "a", {"w0": ["w1"], "w1": ["w1"]}),
+         "restriction_matches_source", "reach_union_identity"),
+        (_rewired(build_counterfactual(d1), "a", {"cf:b:w0:w3": ["w0"]}),
+         "beliefs_in_decision_domain", "pairwise_union_realized"),
+        # pairwise unions are tested at the union's first state only
+        (_without(build_counterfactual(d1), "cf:a:w1:w0+w1"),
+         "every_domain_event_realized", "pairwise_union_realized"),
+        (_without(build_counterfactual(d1), "cf:a:w0:w0+w1"),
+         "every_domain_event_realized", "pairwise_union_realized"),
+    ]
+    outcomes = {"reach_union_identity": set(), "pairwise_union_realized": set()}
+    for built, premise, derived in cases:
+        report = verify_counterfactual(d1, built)
+        assert report.checks == reference_verify(d1, built)
+        assert not report.check(premise).passed
+        assert report.check("relations_target_actual").passed and report.check("reach_stays_actual").passed
+        if derived == "reach_union_identity":
+            assert _has_reach_masks(built.structure)
+        outcomes[derived].add(report.check(derived).passed)
+    assert all(seen == {True, False} for seen in outcomes.values())
+
+
+def test_a_non_reflexive_origin_is_refused_before_any_check():
+    # The reflexive premise of reach_union_identity holds whenever a check
+    # runs: the decision domains need a partitional origin.
+    rng = random.Random(109)
+    origins = [S for S in (random_belief_structure(rng) for _ in range(40))
+               if not all(f.reflexive for f in S.relation_properties().flags.values())]
+    assert len(origins) >= 10
+    for S in origins:
+        bare = CounterfactualStructure(structure=S, actual=S.states, labels={}, origin=S)
+        for verify in (verify_counterfactual, reference_verify):
+            with pytest.raises(PreconditionError):
+                verify(S, bare)
+
+
+def test_a_valid_build_is_verified_without_reach_masks(d1):
+    for S in (d1, _chain(8)):
+        built = build_counterfactual(S)
+        assert verify_counterfactual(S, built).passed
+        assert not _has_reach_masks(built.structure)
+    drifted = _rewired(build_counterfactual(d1), "a", {"w0": ["w1"]})
+    assert not verify_counterfactual(d1, drifted).passed
+    assert _has_reach_masks(drifted.structure)
 
 
 # ---------------------------------------------------------------------------
