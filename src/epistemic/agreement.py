@@ -35,9 +35,8 @@ from .decisions import (
     check_stp_gamma,
     enumerate_decision_profiles,
     _disagreements,
-    _domain,
+    _table_key,
     _undecided,
-    _validate_gamma_domain,
 )
 from .errors import InputError, PreconditionError
 from .partitions import resolve_max_cells
@@ -60,9 +59,6 @@ class AgreementViolation:
     agreement_event: Event
     common_belief_event: Event
     agreement_event_actual: Event | None  # restriction to original states, counterfactual mode only
-
-    def profile_dict(self) -> dict[str, str]:
-        return dict(self.profile)
 
 
 @dataclass(frozen=True)
@@ -102,14 +98,12 @@ class DisagreementWitness:
 class _Compiled:
     """What a verdict reads of one agent's table on one carrier."""
 
-    origin: InformationStructure | None  # whose decision domain the table was checked on, theorem2 only
     stp: tuple[Violation, ...]
     actions: tuple[str, ...]  # the actions in the table, sorted
     masks: tuple[int, ...]  # per action, the carrier states at which the agent takes it
 
 
-def _compile(carrier: InformationStructure, df: DecisionFunction,
-             origin: InformationStructure | None = None, stp: tuple[Violation, ...] = ()) -> _Compiled:
+def _compile(carrier: InformationStructure, df: DecisionFunction, stp: tuple[Violation, ...] = ()) -> _Compiled:
     # One OR per possibility set, which the table must cover.
     buckets: dict[str, int] = {}
     for info, mask, first in carrier._agent_index(df.agent).groups:
@@ -118,42 +112,17 @@ def _compile(carrier: InformationStructure, df: DecisionFunction,
             raise _undecided(df.agent, carrier.states[first], info)
         buckets[action] = buckets.get(action, 0) | mask
     actions = df.actions()
-    return _Compiled(origin, stp, actions, tuple(buckets.get(a, 0) for a in actions))
-
-
-def _table_key(source: InformationStructure, df: DecisionFunction, cap: int) -> tuple[str, ...]:
-    """The key of a gamma table's compiled entry: the agent and the table's actions over
-    its domain in canonical order, so equal tables share an entry and a table edited in
-    place gets a new one.
-
-    Built in the walk that validates the table: a table that holds every domain event
-    and no more keys than the domain has covers the domain exactly.
-    """
-    order = _domain(source, df.agent, cap)[0]
-    table = df.table
-    if len(table) == len(order):
-        try:
-            return ("table", df.agent, *map(table.__getitem__, order))
-        except KeyError:
-            pass
-    # The keys are not the domain: the full check raises the error that names the difference.
-    _validate_gamma_domain(source, df, max_cells=cap)
+    return _Compiled(stp, actions, tuple(buckets.get(a, 0) for a in actions))
 
 
 def _compiled_gamma(target: CounterfactualStructure, df: DecisionFunction,
                     key: tuple[str, ...], cap: int) -> _Compiled:
-    """The validated gamma table's entry in the carrier's index, compiled on first use."""
-    source, carrier = target.origin, target.structure
-    entry = carrier._facts.get(key)  # read directly on a hit: _memo takes a new closure per call
-    if entry is not None and entry.origin is source:
-        return entry
-
-    def build() -> _Compiled:
-        return _compile(carrier, df, source, check_stp_gamma(source, df, max_cells=cap).entries)
-
-    entry = carrier._memo(key, build)
-    # A carrier paired by hand with another origin reads none of this one's entries.
-    return entry if entry.origin is source else build()
+    """The validated gamma table's entry on the counterfactual structure, compiled on first use."""
+    entry = target._compiled.get(key)
+    if entry is None:
+        stp = check_stp_gamma(target.origin, df, max_cells=cap).entries
+        entry = target._compiled[key] = _compile(target.structure, df, stp)
+    return entry
 
 
 def _normalize_family(
@@ -199,7 +168,7 @@ def check_agreement(
         dfs = _normalize_family(carrier.agents, family, GAMMA_KIND)
         cap = resolve_max_cells(max_cells)
         keys = [_table_key(source, df, cap) for df in dfs]
-        hyp.extend(_disagreements(carrier.agents, keys, 2, source, cap))  # a key's actions start at index 2
+        hyp.extend(_disagreements(carrier.agents, keys, 1, source, cap))  # a key's actions start at index 1
         compiled = [_compiled_gamma(target, df, key, cap) for df, key in zip(dfs, keys)]
         for entry in compiled:
             hyp.extend(entry.stp)

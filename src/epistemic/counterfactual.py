@@ -60,7 +60,7 @@ class CounterfactualStructure:
     :func:`verify_counterfactual`.
     """
 
-    __slots__ = ("structure", "actual", "labels", "origin", "_by_triple")
+    __slots__ = ("structure", "actual", "labels", "origin", "_by_triple", "_compiled")
 
     def __init__(
         self,
@@ -101,16 +101,15 @@ class CounterfactualStructure:
                 raise InputError(f"duplicate label triple for {name!r} and {by_triple[key]!r}")
             by_triple[key] = name
         self._by_triple = by_triple
+        # check_agreement's compiled gamma tables, keyed by decisions._table_key: they read the
+        # carrier's states and the origin's decision domains, so they belong to this pairing.
+        self._compiled: dict[tuple[str, ...], object] = {}
         outside = structure._full & ~structure._mask(self.actual)  # positive: a negative mask widens every &
         for agent in structure.agents:
             for k, row in enumerate(structure._succ[agent]):
                 if row & outside:
                     pair = (structure.states[k], structure.states[next(_bits(row & outside))])
                     raise InputError(f"relation of agent {agent!r} points into the duplicates: {pair!r}")
-
-    @property
-    def lambda_states(self) -> frozenset[str]:
-        return frozenset(self.labels)
 
     def counterfactual_state(self, agent: str, base: str, event: Iterable[str]) -> str:
         """The unique duplicate with the given (agent, base, event) label."""
@@ -391,10 +390,14 @@ def verify_counterfactual(
 
     # ---- beliefs land in (and exhaust) the decision domains -------------------
     domain_masks = {i: dict.fromkeys(S._mask(e) for e in domains[i]) for i in agents}  # in domain order
-    stray = next(
-        ((i, states[k], row) for i in agents for k, row in enumerate(succ[i]) if row not in domain_masks[i]),
-        None,
-    )
+    stray = None
+    for i in agents:  # each distinct row tested once: equal rows share one int object
+        rows = succ[i]
+        lowest = dict(zip(map(id, reversed(rows)), range(len(rows) - 1, -1, -1)))  # row -> its first state
+        k = min((k for k in lowest.values() if rows[k] not in domain_masks[i]), default=None)
+        if k is not None:
+            stray = (i, states[k], rows[k])
+            break
     add("beliefs_in_decision_domain", stray is None,
         "" if stray is None else f"agent {stray[0]} at {stray[1]}: {event_string(stray[2])}")
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import ClassVar, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError, InputError, ResourceLimitError
-from .partitions import gamma, partition, resolve_max_cells
+from .partitions import _closure, gamma, partition
 from .structures import (
     Event,
     InformationStructure,
@@ -134,23 +134,6 @@ def union_of_gammas(structure: InformationStructure, *, max_cells: int | None = 
         e for agent in structure.agents for e in gamma(structure, agent, max_cells=max_cells)))[0]
 
 
-def _domain(structure: InformationStructure, agent: str,
-            max_cells: int | None) -> tuple[tuple[Event, ...], frozenset[Event]]:
-    """The agent's union closure, in canonical order and as a set."""
-    fact = structure._facts.get(("domain", agent))  # read directly on a hit: _memo takes a closure
-    if fact is None:
-        def build():
-            order = gamma(structure, agent, max_cells=max_cells)
-            return len(partition(structure, agent)), order, frozenset(order)
-
-        fact = structure._memo(("domain", agent), build)
-    cells, order, domain = fact
-    # Compared on every call, so a stored domain never bypasses the cap; gamma raises the error.
-    if cells > (resolve_max_cells() if max_cells is None else max_cells):
-        gamma(structure, agent, max_cells=max_cells)
-    return order, domain
-
-
 def _shared_events(structure: InformationStructure, i: str, j: str,
                    max_cells: int | None) -> tuple[tuple[Event, int, int], ...]:
     """(event, its position in i's domain order, its position in j's) for every event both
@@ -158,20 +141,39 @@ def _shared_events(structure: InformationStructure, i: str, j: str,
     shared = structure._facts.get(("shared", i, j))
     if shared is None:
         def build():
-            order = _domain(structure, i, max_cells)[0]
-            at_j = {e: q for q, e in enumerate(_domain(structure, j, max_cells)[0])}
+            order = gamma(structure, i, max_cells=max_cells)
+            at_j = {e: q for q, e in enumerate(gamma(structure, j, max_cells=max_cells))}
             return tuple((e, p, at_j[e]) for p, e in enumerate(order) if e in at_j)
 
         shared = structure._memo(("shared", i, j), build)
     return shared
 
 
-def _validate_gamma_domain(structure: InformationStructure, df: DecisionFunction,
-                           *, max_cells: int | None = None) -> tuple[Event, ...]:
-    """Raise unless the table covers the agent's union closure exactly; return that closure."""
+def _table_key(structure: InformationStructure, df: DecisionFunction,
+               max_cells: int | None) -> tuple[str, ...]:
+    """The agent, then the table's actions over the agent's union closure in canonical order:
+    the one walk that validates a gamma table and reads it. Equal tables get equal keys, and
+    a table edited in place gets a new one.
+
+    A table that holds every domain event and no more keys than the domain has covers the
+    domain exactly.
+    """
     if df.kind != GAMMA_KIND:
         raise InputError(f"expected a gamma-kind decision function for agent {df.agent!r}")
-    order, domain = _domain(structure, df.agent, max_cells)
+    order = _closure(structure, df.agent, max_cells)[1]
+    table = df.table
+    if len(table) == len(order):
+        try:
+            return (df.agent, *map(table.__getitem__, order))
+        except KeyError:
+            pass
+    _validate_gamma_domain(structure, df, max_cells=max_cells)
+
+
+def _validate_gamma_domain(structure: InformationStructure, df: DecisionFunction,
+                           *, max_cells: int | None = None) -> None:
+    """Raise unless the table covers the agent's union closure exactly, naming the difference."""
+    domain = _closure(structure, df.agent, max_cells)[2]
     if df.table.keys() != domain:
         missing = sorted(canonical_event_string(e) for e in domain - df.table.keys())[:3]
         extra = sorted(canonical_event_string(e) for e in df.table.keys() - domain)[:3]
@@ -179,7 +181,6 @@ def _validate_gamma_domain(structure: InformationStructure, df: DecisionFunction
             f"gamma decision table for agent {df.agent!r} must cover the union closure exactly "
             f"(missing {missing}, extra {extra})"
         )
-    return order
 
 
 def _undecided(agent: str, state: str, info: Event) -> DomainError:
@@ -203,21 +204,13 @@ def check_stp_gamma(structure: InformationStructure, df: DecisionFunction,
     Cells are the atoms of the union closure, so each domain event decomposes
     uniquely and the check is a direct sweep over cell subsets.
     """
-    _validate_gamma_domain(structure, df, max_cells=max_cells)
-    pairs = structure._memo(("stp", df.agent), lambda: _stp_pairs(partition(structure, df.agent)))
+    _table_key(structure, df, max_cells)  # raises unless the table covers the domain exactly
+    pairs = _closure(structure, df.agent, max_cells)[3]
     return ViolationList(entries=tuple(
         Violation(kind="stp", agents=(df.agent,), events=family, union_event=union,
                   expected=expected, actual=actual)
         for family, union, expected, actual in _stp_breaks(pairs, df.table)
     ))
-
-
-def _stp_pairs(cells: tuple[Event, ...]) -> tuple[tuple[tuple[Event, ...], Event], ...]:
-    """(cell family, union) for every family of two or more cells, in combinations order."""
-    return tuple(
-        (family, frozenset().union(*family))
-        for r in range(2, len(cells) + 1) for family in itertools.combinations(cells, r)
-    )
 
 
 def _stp_breaks(pairs, actions) -> Iterator[tuple]:
@@ -377,24 +370,20 @@ def check_like_minded(
     if len(set(agents)) != len(agents):
         raise InputError("duplicate agent in decision family")
     kind = kinds.pop()
-    if kind == GAMMA_KIND and structure is None:
-        raise InputError("gamma-kind like-mindedness needs the underlying structure")
-    orders = {}
+    if kind == GAMMA_KIND:
+        if structure is None:
+            raise InputError("gamma-kind like-mindedness needs the underlying structure")
+        keys = sorted([_table_key(structure, df, max_cells) for df in dfs])  # by agent, which leads each key
+        return ViolationList(entries=_disagreements([key[0] for key in keys], keys, 1, structure, max_cells))
     for df in dfs:
-        if kind == GAMMA_KIND:
-            orders[df.agent] = _validate_gamma_domain(structure, df, max_cells=max_cells)
-        elif df.table.keys() != dfs[0].table.keys():
+        if df.table.keys() != dfs[0].table.keys():
             raise InputError(
                 f"field decision functions must share one domain; agent {df.agent!r} differs"
             )
     dfs = sorted(dfs, key=lambda d: d.agent)
-    agents = [df.agent for df in dfs]
-    if kind == GAMMA_KIND:
-        rows = [[df.table[e] for e in orders[df.agent]] for df in dfs]
-        return ViolationList(entries=_disagreements(agents, rows, 0, structure, max_cells))
     events = _compiled_field(frozenset(dfs[0].table))[0]
     rows = [[df.table[e] for e in events] for df in dfs]
-    return ViolationList(entries=_disagreements(agents, rows, 0, None, field=events))
+    return ViolationList(entries=_disagreements([df.agent for df in dfs], rows, 0, None, field=events))
 
 
 def _disagreements(agents: Sequence[str], rows: Sequence[Sequence[str]], start: int,

@@ -78,22 +78,37 @@ def gamma(
     instead of truncating. The cap is checked on every call; the closure is
     built once per structure and agent.
     """
-    cells = partition(structure, agent)
-    cap = resolve_max_cells(max_cells)
-    if len(cells) > cap:
-        raise ResourceLimitError(
-            f"agent {agent!r} has {len(cells)} partition cells, above the cap of {cap}; "
-            f"raise the cap explicitly or via {MAX_CELLS_ENV_VAR} if this is intended"
-        )
-    return structure._memo(("gamma", agent), lambda: _union_closure(cells))
+    return _closure(structure, agent, max_cells)[1]
 
 
-def _union_closure(cells: tuple[Event, ...]) -> tuple[Event, ...]:
-    events = []
-    for r in range(1, len(cells) + 1):
-        for combo in itertools.combinations(cells, r):
-            events.append(frozenset().union(*combo))
-    return tuple(sorted(set(events), key=canonical_event_string))
+def _closure(structure: InformationStructure, agent: str, max_cells: int | None) -> tuple:
+    """The agent's ``("gamma", agent)`` fact (see :func:`_union_closure`), after checking the cap."""
+    fact = structure._facts.get(("gamma", agent))  # read directly on a hit: _memo takes a closure
+    # Compared on every call, so a stored closure never bypasses the cap; a cap that is not
+    # an int, or that the cell count exceeds, takes the checked path, which raises.
+    if fact is None or fact[0] > (max_cells if type(max_cells) is int else resolve_max_cells(max_cells)):
+        cells = partition(structure, agent)
+        cap = resolve_max_cells(max_cells)
+        if len(cells) > cap:
+            raise ResourceLimitError(
+                f"agent {agent!r} has {len(cells)} partition cells, above the cap of {cap}; "
+                f"raise the cap explicitly or via {MAX_CELLS_ENV_VAR} if this is intended"
+            )
+        fact = structure._memo(("gamma", agent), lambda: _union_closure(cells))
+    return fact
+
+
+def _union_closure(cells: tuple[Event, ...]) -> tuple:
+    """(cell count, the non-empty unions of the cells in canonical order, those unions as a
+    set, (cell family, union) for every family of two or more cells in combinations order),
+    from one walk over the cell combinations. The families are what the Sure-Thing
+    Principle ranges over."""
+    pairs = tuple(
+        (family, frozenset().union(*family))
+        for r in range(2, len(cells) + 1) for family in itertools.combinations(cells, r)
+    )
+    domain = frozenset(cells).union(union for _, union in pairs)
+    return len(cells), tuple(sorted(domain, key=canonical_event_string)), domain, pairs
 
 
 def is_possible_belief(structure: InformationStructure, agent: str, event) -> bool:

@@ -191,9 +191,8 @@ class InformationStructure:
         self._index = index
         self._full = (1 << len(states)) - 1
         self._succ = succ
-        # The per-structure index: immutable facts keyed by ("report",), ("agent"|"gamma"|"domain"|"stp", a),
-        # ("shared", a, b), ("reach", *group), ("reach_groups", *group) or, on a counterfactual carrier,
-        # ("table", a, *actions) for each distinct gamma table checked, filled on first use.
+        # The per-structure index: immutable facts keyed by ("report",), ("agent"|"gamma", a),
+        # ("shared", a, b), ("reach", *group) or ("reach_groups", *group), filled on first use.
         self._facts: dict[tuple[str, ...], object] = {}
 
     # -- basic accessors ---------------------------------------------------

@@ -32,6 +32,7 @@ from epistemic import (
     partition,
     powerset_field,
     search_disagreement,
+    verify_counterfactual,
 )
 from epistemic import d1 as make_d1
 from epistemic import agreement, counterfactual, decisions, partitions, structures
@@ -506,6 +507,12 @@ def test_search_reads_hypothesis_facts_from_the_index(monkeypatch):
     for name in ("check_agreement", "check_stp_gamma"):
         monkeypatch.setattr(agreement, name, counting(name, getattr(agreement, name)))
     memo = structures.InformationStructure._memo
+    compile_gamma = agreement._compile
+    compiled = Counter()
+
+    def counting_compile(carrier, df, *args):
+        compiled[df.agent, frozenset(df.table.items())] += 1
+        return compile_gamma(carrier, df, *args)
 
     def counting_memo(self, key, build):
         def counted_build():
@@ -514,18 +521,17 @@ def test_search_reads_hypothesis_facts_from_the_index(monkeypatch):
         return memo(self, key, counted_build)
 
     monkeypatch.setattr(structures.InformationStructure, "_memo", counting_memo)
+    monkeypatch.setattr(agreement, "_compile", counting_compile)
     source = make_d1()  # fresh, so nothing is cached yet
     assert search_disagreement(source, 3) is None
     assert calls["check_agreement"] == 6825
     assert calls["gamma"] <= 10
     assert calls["resolve_max_cells"] <= calls["check_agreement"] + 10
     hypothesis_facts = {
-        key: count for key, count in fact_builds.items() if key[1][0] in ("domain", "stp", "shared")
+        key: count for key, count in fact_builds.items() if key[1][0] in ("gamma", "shared")
     }
-    # one domain and one set of pairs per agent, one overlap for the one pair of agents
-    assert sorted(key[1] for key in hypothesis_facts) == [
-        ("domain", "a"), ("domain", "b"), ("shared", "a", "b"), ("stp", "a"), ("stp", "b"),
-    ]
+    # one closure (with its pairs) per agent, one overlap for the one pair of agents
+    assert sorted(key[1] for key in hypothesis_facts) == [("gamma", "a"), ("gamma", "b"), ("shared", "a", "b")]
     assert set(hypothesis_facts.values()) == {1}
     # one compiled entry per distinct (agent, table) the search checks, each built once
     distinct_tables = {
@@ -533,9 +539,8 @@ def test_search_reads_hypothesis_facts_from_the_index(monkeypatch):
         for family in enumerate_decision_profiles(make_d1(), 3, stp=True, like_minded=True)
         for df in family
     }
-    compiled = [count for key, count in fact_builds.items() if key[1][0] == "table"]
-    assert len(distinct_tables) == len(compiled) == 996
-    assert set(compiled) == {1}
+    assert set(compiled) == distinct_tables and len(distinct_tables) == 996
+    assert set(compiled.values()) == {1}
     assert calls["check_stp_gamma"] == 996
 
 
@@ -618,8 +623,8 @@ def test_replay_uses_the_search_cell_cap(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _compiled_keys(structure):
-    return [key for key in structure._facts if key[0] == "table"]
+def _compiled_keys(built):
+    return list(built._compiled)
 
 
 def _relaxed_families(source, count):
@@ -643,7 +648,7 @@ def test_equal_tables_in_another_insertion_order_share_one_entry():
     built = build_counterfactual(make_d1())
     for family in _relaxed_families(built.origin, 300)[::7]:
         check_agreement(built, family)
-    entries = len(_compiled_keys(built.structure))
+    entries = len(_compiled_keys(built))
     for family in _relaxed_families(built.origin, 300)[::7]:
         # the same mappings inserted in reverse, and the same action sequence on reversed events
         same = tuple(gamma_df(df.agent, dict(reversed(df.table.items()))) for df in family)
@@ -652,7 +657,7 @@ def test_equal_tables_in_another_insertion_order_share_one_entry():
         for other in (same, swapped):
             expected = reference_check_agreement(built, other, built.structure.agents, "theorem2", True)
             assert check_agreement(built, other) == expected
-    assert len(_compiled_keys(built.structure)) > entries  # the swapped tables are new entries
+    assert len(_compiled_keys(built)) > entries  # the swapped tables are new entries
 
 
 def test_agents_with_equal_action_sequences_keep_their_own_entries():
@@ -678,7 +683,7 @@ def test_cell_cap_checked_after_the_entry_is_stored(via_env, monkeypatch):
     built = build_counterfactual(make_d1())
     family = _relaxed_families(built.origin, 1)[0]
     check_agreement(built, family, max_cells=3)
-    assert len(_compiled_keys(built.structure)) == 2
+    assert len(_compiled_keys(built)) == 2
     for _ in range(2):
         with pytest.raises(ResourceLimitError):
             if via_env:
@@ -737,7 +742,7 @@ def test_undecided_state_raises_on_every_call_and_stores_nothing(d1, d1_cf):
         with pytest.raises(DomainError) as got:
             check_agreement(built, family)
         assert str(got.value) == str(expected.value) and got.value.event == ev("w1")
-    assert _compiled_keys(built.structure) == [("table", "a", "x", "x", "x")]
+    assert _compiled_keys(built) == [("a", "x", "x", "x")]
 
 
 def test_carrier_paired_with_another_origin_reads_none_of_its_entries(d1):
@@ -765,7 +770,7 @@ def test_compiled_entries_are_immutable():
     built = build_counterfactual(make_d1())
     for family in enumerate_decision_profiles(built.origin, 2):
         check_agreement(built, family)
-    entries = [built.structure._facts[key] for key in _compiled_keys(built.structure)]
+    entries = list(built._compiled.values())
     assert len(entries) == 8 + 128  # every table of a and of b
     for entry in entries:
         assert all(type(field) is tuple for field in (entry.stp, entry.actions, entry.masks))
@@ -774,15 +779,32 @@ def test_compiled_entries_are_immutable():
     assert any(entry.stp for entry in entries)
 
 
+def _fact_kinds(structure):
+    return {key[0] for key in structure._facts}
+
+
 def test_theorem1_search_stores_no_compiled_entry():
     source = make_d1()
     assert search_disagreement(source, 2, mode="theorem1") is None
     assert search_disagreement(source, 2, mode="theorem1", relax=["stp"]) is not None
-    assert _compiled_keys(source) == []
+    assert _fact_kinds(source) == {"report", "agent", "reach", "reach_groups"}
     built = build_counterfactual(source)
     assert search_disagreement(built, 2) is None
-    assert len(_compiled_keys(built.structure)) == 6 + 50  # the stp tables of a and of b
-    assert _compiled_keys(source) == []
+    assert len(_compiled_keys(built)) == 6 + 50  # the stp tables of a and of b
+
+
+def test_index_holds_structure_facts_and_no_compiled_table():
+    source = make_d1()
+    built = build_counterfactual(source)
+    assert search_disagreement(built, 2) is None
+    assert search_disagreement(source, 2, mode="theorem1") is None
+    assert verify_counterfactual(source, built).passed
+    expected = {"report", "agent", "gamma", "shared", "reach", "reach_groups"}
+    assert _fact_kinds(source) == expected
+    assert _fact_kinds(built.structure) == expected - {"gamma", "shared"}
+    assert built._compiled  # the compiled tables live on the counterfactual structure, not its carrier
+    for S in (source, built.structure):
+        assert not any(isinstance(value, agreement._Compiled) for value in S._facts.values())
 
 
 # ---------------------------------------------------------------------------

@@ -573,11 +573,11 @@ def test_domain_mismatch_raises_like_set_based_reference():
 @pytest.mark.parametrize("cached", [False, True])
 def test_cell_cap_checked_before_and_after_facts_are_cached(cached, monkeypatch):
     S = make_d1()  # fresh: agent b has 3 cells
-    family = constant_gamma_family(S, "x")
+    family = constant_gamma_family(make_d1(), "x")  # built on another d1, so S stores no closure
     if cached:
         assert check_like_minded(S, family).ok
         assert check_stp_gamma(S, family[1]).ok
-    assert (("domain", "b") in S._facts) is cached
+    assert (("gamma", "b") in S._facts) is cached
     monkeypatch.delenv("EPISTEMIC_MAX_CELLS", raising=False)
     for check, reference, arg in (
         (check_stp_gamma, reference_check_stp_gamma, family[1]),
@@ -586,7 +586,7 @@ def test_cell_cap_checked_before_and_after_facts_are_cached(cached, monkeypatch)
         explicit = outcome(check, S, arg, max_cells=2)
         assert explicit[0] is ResourceLimitError
         assert explicit == outcome(reference, S, arg, max_cells=2)
-        for bad in (0, -1):
+        for bad in (0, -1, "3", 2.5):
             assert outcome(check, S, arg, max_cells=bad)[0] is InputError
             assert outcome(check, S, arg, max_cells=bad) == outcome(reference, S, arg, max_cells=bad)
         for env, expected in (("2", ResourceLimitError), ("zero", InputError), ("0", InputError)):

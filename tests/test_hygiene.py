@@ -1,11 +1,13 @@
 """Source hygiene: no `assert` invariants, no random sampling, one canonical layout,
-two constructor bypasses.
+two constructor bypasses, one writer per index fact.
 
 ``python -O`` strips ``assert`` statements, so a runtime invariant written as
 one silently disappears; every check the library runs is exact, so it has no
 use for the ``random`` module; the indented JSON layout is defined once,
 in ``serialization.canonical_json``; and ``__new__`` skips a constructor's
 checks, so only the two entry points that take parts already checked call it.
+Each kind of per-structure fact is written by one module, so that one module
+owns how it is built and keyed.
 """
 
 import ast
@@ -64,3 +66,28 @@ def test_new_is_called_only_by_the_two_checked_parts_entry_points():
         ("decisions.py", "DecisionFunction._built"),
         ("structures.py", "InformationStructure._from_rows"),
     ]
+
+
+def test_each_fact_kind_is_written_by_one_module():
+    writers: dict[str, set[str]] = {}
+    touching = set()  # modules that read or write _facts at all
+    stores = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text("utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_memo":
+                key = node.args[0]
+                where = f"{path.name}:{node.lineno}"
+                assert isinstance(key, ast.Tuple) and isinstance(key.elts[0], ast.Constant), where
+                writers.setdefault(key.elts[0].value, set()).add(path.stem)
+            elif isinstance(node, ast.Attribute) and node.attr == "_facts":
+                touching.add(path.stem)
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+                if getattr(node.value, "attr", None) == "_facts":
+                    stores.append(path.stem)
+    assert writers == {
+        "report": {"structures"}, "agent": {"structures"}, "reach": {"structures"},
+        "reach_groups": {"structures"}, "gamma": {"partitions"}, "shared": {"decisions"},
+    }
+    assert stores == ["structures"]  # the one store, in InformationStructure._memo
+    assert touching == {"structures", "partitions", "decisions"}
