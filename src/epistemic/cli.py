@@ -114,7 +114,7 @@ def cmd_validate(args) -> int:
         }
         if isinstance(value, CounterfactualStructure):
             doc["actual_states"] = len(value.actual)
-            doc["counterfactual_states"] = len(value.labels)
+            doc["counterfactual_states"] = len(value._by_triple)
             doc["verification"] = {
                 "passed": verification.passed,
                 "checks": {
@@ -127,7 +127,7 @@ def cmd_validate(args) -> int:
         if isinstance(value, CounterfactualStructure):
             print(
                 f"structure: {len(carrier.states)} states "
-                f"({len(value.actual)} actual + {len(value.labels)} counterfactual), "
+                f"({len(value.actual)} actual + {len(value._by_triple)} counterfactual), "
                 f"{len(carrier.agents)} agents"
             )
         else:

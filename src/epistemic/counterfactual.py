@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError, NotFoundError, PreconditionError
@@ -52,15 +53,20 @@ class CounterfactualLabel:
 class CounterfactualStructure:
     """An information structure over originals plus labelled duplicate states.
 
-    ``actual`` is the set of original states; every other state must appear in
-    ``labels``. The label map, not the generated names, is authoritative for
-    provenance. Construction validates only the cheap structural facts (label
-    coverage, no relation pointing at a duplicate), so deliberately damaged
-    instances can still be built and then audited with
+    ``actual`` is the set of original states; every other state is a duplicate
+    with one provenance label. The table ``(agent, base, event string) -> name``
+    is the one stored form of provenance and is authoritative; the generated
+    names are not. ``labels``, the map from each duplicate to its
+    :class:`CounterfactualLabel`, is derived from the table on first read and
+    cached. The pairing is read-only: ``structure``, ``actual``, ``origin`` and
+    ``labels`` cannot be reassigned, so the compiled tables kept on it answer
+    for its one origin. Construction validates only the cheap structural facts
+    (label coverage, no relation pointing at a duplicate), so deliberately
+    damaged instances can still be built and then audited with
     :func:`verify_counterfactual`.
     """
 
-    __slots__ = ("structure", "actual", "labels", "origin", "_by_triple", "_compiled")
+    __slots__ = ("structure", "actual", "origin", "_by_triple", "_events", "_labels", "_compiled")
 
     def __init__(
         self,
@@ -69,47 +75,98 @@ class CounterfactualStructure:
         labels: Mapping[str, CounterfactualLabel],
         origin: InformationStructure,
     ):
-        self.structure = structure
-        self.actual = frozenset(actual)
-        self.labels = dict(labels)
-        self.origin = origin
+        actual = frozenset(actual)
+        table: dict[tuple[str, str, str], str] = {}
+        events: dict[str, Event] = {}
+        strings: dict[Event, str] = {}  # each distinct event is written once
+        dup = None
+        for name, label in labels.items():
+            event = label.event
+            text = strings.get(event)
+            if text is None:
+                # an event the checks refuse is keyed as the empty one, which they refuse too
+                text = strings[event] = canonical_event_string(event) if event and event <= actual else ""
+                events.setdefault(text, event)
+            key = (label.agent, label.base, text)
+            if table.setdefault(key, name) is not name and dup is None:
+                dup = (len(table), name, table[key])
+        self._init(structure, actual, origin, table, events, labels.keys(), dup)
+
+    @classmethod
+    def _from_table(cls, structure: InformationStructure, actual: frozenset[str], origin: InformationStructure,
+                    table: dict[tuple[str, str, str], str], events: dict[str, Event],
+                    names: Iterable[str] | None = None, dup: tuple[int, str, str] | None = None,
+                    ) -> CounterfactualStructure:
+        """A pairing from its provenance table and each event string's event, through the
+        public constructor's checks. ``names`` are every label's state (the table's names
+        by default); ``dup`` is (position in the table, later name, earlier name) for the
+        first label whose triple an earlier label already holds."""
+        built = cls.__new__(cls)
+        built._init(structure, actual, origin, table, events, table.values() if names is None else names, dup)
+        return built
+
+    def _init(self, structure, actual, origin, table, events, names, dup) -> None:
+        """Store the pairing and run the one check routine both entry points share: the first
+        fault in label order is raised, with one message whichever entry point built the table."""
+        store = object.__setattr__  # the pairing is read-only once made: see __setattr__
+        store(self, "structure", structure)
+        store(self, "actual", actual)
+        store(self, "origin", origin)
+        store(self, "_by_triple", table)
+        store(self, "_events", events)
+        store(self, "_labels", None)
+        # check_agreement's compiled gamma tables, keyed by decisions._table_key: they read the
+        # carrier's states and the origin's decision domains, so they belong to this pairing.
+        store(self, "_compiled", {})
 
         state_set = set(structure.states)
-        if not self.actual <= state_set:
+        if not actual <= state_set:
             raise InputError("actual states must be states of the structure")
-        if frozenset(origin.states) != self.actual:
+        if frozenset(origin.states) != actual:
             raise InputError("origin state set must equal the actual states")
         if origin.agents != structure.agents:
             raise InputError("origin and counterfactual structure must share the agent set")
-        expected_lambda = state_set - self.actual
-        if set(self.labels) != expected_lambda:
+        if set(names) != state_set - actual:
             raise InputError("labels must cover exactly the non-actual states")
-        by_triple: dict[tuple[str, str, str], str] = {}
-        strings: dict[Event, str] = {}  # each distinct event is checked and written once
-        for name, label in self.labels.items():
-            if label.agent not in structure.agents:
-                raise InputError(f"label for {name!r} names unknown agent {label.agent!r}")
-            if label.base not in self.actual:
-                raise InputError(f"label for {name!r} has non-actual base {label.base!r}")
-            text = strings.get(label.event)
-            if text is None:
-                if not label.event or not label.event <= self.actual:
-                    raise InputError(f"label for {name!r} has an event outside the actual states")
-                text = strings[label.event] = canonical_event_string(label.event)
-            key = (label.agent, label.base, text)
-            if key in by_triple:
-                raise InputError(f"duplicate label triple for {name!r} and {by_triple[key]!r}")
-            by_triple[key] = name
-        self._by_triple = by_triple
-        # check_agreement's compiled gamma tables, keyed by decisions._table_key: they read the
-        # carrier's states and the origin's decision domains, so they belong to this pairing.
-        self._compiled: dict[tuple[str, ...], object] = {}
-        outside = structure._full & ~structure._mask(self.actual)  # positive: a negative mask widens every &
+        agents = set(structure.agents)
+        refused = {text for text, event in events.items() if not event or not event <= actual}
+        # the labels before the first repeated triple; that label's own fields are its twin's
+        for (agent, base, text), name in itertools.islice(table.items(), None if dup is None else dup[0]):
+            if agent not in agents:
+                raise InputError(f"label for {name!r} names unknown agent {agent!r}")
+            if base not in actual:
+                raise InputError(f"label for {name!r} has non-actual base {base!r}")
+            if text in refused:
+                raise InputError(f"label for {name!r} has an event outside the actual states")
+        if dup is not None:
+            raise InputError(f"duplicate label triple for {dup[1]!r} and {dup[2]!r}")
+        outside = structure._full & ~structure._mask(actual)  # positive: a negative mask widens every &
         for agent in structure.agents:
             for k, row in enumerate(structure._succ[agent]):
                 if row & outside:
                     pair = (structure.states[k], structure.states[next(_bits(row & outside))])
                     raise InputError(f"relation of agent {agent!r} points into the duplicates: {pair!r}")
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"CounterfactualStructure is read-only: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"CounterfactualStructure is read-only: cannot delete {name!r}")
+
+    def __reduce__(self):
+        # a copy is made through the checked entry point, since slots cannot be set afterwards
+        return self._from_table, (self.structure, self.actual, self.origin, self._by_triple, self._events)
+
+    @property
+    def labels(self) -> Mapping[str, CounterfactualLabel]:
+        """Each duplicate's label, in table order, derived from the table on first read."""
+        if self._labels is None:
+            events = self._events
+            object.__setattr__(self, "_labels", MappingProxyType({
+                name: CounterfactualLabel(agent, base, events[text])
+                for (agent, base, text), name in self._by_triple.items()
+            }))
+        return self._labels
 
     def counterfactual_state(self, agent: str, base: str, event: Iterable[str]) -> str:
         """The unique duplicate with the given (agent, base, event) label."""
@@ -128,7 +185,7 @@ class CounterfactualStructure:
         return (
             self.structure == other.structure
             and self.actual == other.actual
-            and self.labels == other.labels
+            and self._by_triple == other._by_triple
             and self.origin == other.origin
         )
 
@@ -137,7 +194,7 @@ class CounterfactualStructure:
     def __repr__(self) -> str:
         return (
             f"CounterfactualStructure({len(self.actual)} actual + "
-            f"{len(self.labels)} counterfactual states, {len(self.structure.agents)} agents)"
+            f"{len(self._by_triple)} counterfactual states, {len(self.structure.agents)} agents)"
         )
 
 
@@ -152,7 +209,8 @@ def build_counterfactual(
     own agent sees e from duplicates of states inside e and their original cell
     otherwise, and every other agent sees the cell of the base state. Each row
     is a source cell or domain event mapped once to carrier bit positions, so
-    equal rows share one int. The result is deterministic.
+    equal rows share one int. The provenance table is filled block by block.
+    The result is deterministic.
     """
     if not source.is_partitional():
         raise PreconditionError("counterfactual construction requires a partitional structure")
@@ -161,24 +219,31 @@ def build_counterfactual(
     states = source.states
     domains = {i: gamma(source, i, max_cells=max_cells) for i in agents}
 
-    labels: dict[str, CounterfactualLabel] = {}
+    table: dict[tuple[str, str, str], str] = {}
+    events: dict[str, Event] = {}
     # (agent, event mask, names by base); the originals come first, as a block under no agent
     blocks: list[tuple[str | None, int, Sequence[str]]] = [(None, 0, states)]
     for i in agents:
+        head = CF_PREFIX + ":" + i + ":"
         for event in domains[i]:
-            text = (canonical_event_string(event),)  # one member, so its canonical string is the block's
-            names = []
-            for w in states:
-                name = counterfactual_state_name(i, w, text)
-                if name in labels:
-                    raise InputError(f"generated state name {name!r} collides across blocks")
-                labels[name] = CounterfactualLabel(agent=i, base=w, event=event)
-                names.append(name)
+            text = canonical_event_string(event)
+            events.setdefault(text, event)
+            tail = ":" + text
+            names = [head + w + tail for w in states]
+            for w, name in zip(states, names):
+                table[i, w, text] = name
             blocks.append((i, source._mask(event), names))
-    if set(labels) & set(states):
+    generated = list(table.values())
+    if len(set(generated)) != len(generated):
+        seen: set[str] = set()
+        for name in generated:
+            if name in seen:
+                raise InputError(f"generated state name {name!r} collides across blocks")
+            seen.add(name)
+    if not set(states).isdisjoint(generated):
         raise InputError("generated counterfactual names collide with original state names")
 
-    carrier = tuple(sorted([*states, *labels]))
+    carrier = tuple(sorted([*states, *generated]))
     position = {s: k for k, s in enumerate(carrier)}
     bit = [1 << position[w] for w in states]
     masks = {row for i in agents for row in source._succ[i]} | {emask for _, emask, _ in blocks}
@@ -194,7 +259,7 @@ def build_counterfactual(
                 succ[j][at] = event_row if j == i and emask >> k & 1 else cells[j][k]
 
     combined = InformationStructure._from_rows(carrier, agents, succ)
-    return CounterfactualStructure(structure=combined, actual=states, labels=labels, origin=source)
+    return CounterfactualStructure._from_table(combined, frozenset(states), source, table, events)
 
 
 @dataclass(frozen=True)
@@ -310,7 +375,7 @@ def verify_counterfactual(
     domains = {i: gamma(source, i) for i in agents}
     mismatch = label_block_mismatch(domains, source.states, built._by_triple)
     add("lambda_blocks_complete", mismatch is None,
-        f"{len(built.labels)} duplicates = sum over agents of |domain| x {len(built.actual)} originals"
+        f"{len(built._by_triple)} duplicates = sum over agents of |domain| x {len(built.actual)} originals"
         if mismatch is None else mismatch)
 
     # Always passes: CounterfactualStructure.__init__ raises for any row that

@@ -16,9 +16,11 @@ tests hold the two byte-identical.
 
 A structure document carries an optional provenance section turning it into a
 counterfactual structure: a content hash of its source document plus one
-label per duplicate state. The label map is re-validated on parse, including
+label per duplicate state. The labels are re-validated on parse, including
 the hash of the reconstructed source, so hand-edited documents cannot drift
-silently.
+silently. Both directions go through the counterfactual structure's
+provenance table, (agent, base, event string) -> state, and make no label
+objects.
 """
 
 from __future__ import annotations
@@ -26,9 +28,10 @@ from __future__ import annotations
 import hashlib
 import json
 from json.encoder import encode_basestring
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .counterfactual import CounterfactualLabel, CounterfactualStructure, label_block_mismatch
+from .counterfactual import CounterfactualStructure, label_block_mismatch
 from .decisions import DecisionFunction
 from .errors import EpistemicError, InputError, ParseError
 from .partitions import gamma
@@ -81,28 +84,23 @@ def structure_to_document(value) -> dict:
     }
 
 
-def _pieces(items: Iterable[str], indent: str, brackets: str = "[]") -> list[str]:
-    """Encoded items (array members or ``"key": value`` entries) with the brackets and separators that
-    ``canonical_json`` writes around them in a container opening at ``indent``. Left unjoined, so that
-    the one join in ``serialize_structure`` is the only large string the writer allocates."""
+def _pieces(items: Iterable[str], indent: str) -> list[str]:
+    """Encoded array members with the brackets and separators that ``canonical_json`` writes around
+    them in an array opening at ``indent``. Left unjoined, so that the one join in
+    ``serialize_structure`` is the only large string the writer allocates."""
     inner = ",\n" + indent + "  "
     out: list[str] = []
     for item in items:
         out += (inner, item)
     if not out:
-        return [brackets]
-    out[0] = brackets[0] + inner[1:]
-    out.append("\n" + indent + brackets[1])
+        return ["[]"]
+    out[0] = "[" + inner[1:]
+    out.append("\n" + indent + "]")
     return out
 
 
-def _label(name: str, agent: str, base: str, event: str) -> str:
-    return "".join(_pieces([
-        '"agent": ' + encode_basestring(agent),
-        '"base": ' + encode_basestring(base),
-        '"event": ' + encode_basestring(event),
-        '"state": ' + encode_basestring(name),
-    ], "      ", "{}"))
+# one provenance label, as canonical_json indents it inside the labels array
+_LABEL = '{\n        "agent": %s,\n        "base": %s,\n        "event": %s,\n        "state": %s\n      }'
 
 
 def _pair_blocks(S: InformationStructure, agent: str, names: list[str]) -> Iterator[str]:
@@ -122,10 +120,14 @@ def _pair_blocks(S: InformationStructure, agent: str, names: list[str]) -> Itera
 
 def serialize_structure(value) -> str:
     """The canonical text of a structure or counterfactual structure, written directly; it equals
-    ``canonical_json(structure_to_document(value))`` byte for byte."""
+    ``canonical_json(structure_to_document(value))`` byte for byte.
+
+    Provenance is written from the counterfactual structure's table, which is authoritative;
+    its ``labels`` map is derived from the table on first read, and this writer does not read
+    it. The pairing is read-only, so the table always describes the carrier being written."""
     if isinstance(value, CounterfactualStructure):
-        # by name; the (agent, base, event string) triples were written once, when the labels were checked
-        S, labels = value.structure, sorted((name, triple) for triple, name in value._by_triple.items())
+        # by name, from the provenance table: each triple's event string was written once, at build or parse
+        S, labels = value.structure, sorted(value._by_triple.items(), key=itemgetter(1))
     elif isinstance(value, InformationStructure):
         S, labels = value, None
     else:
@@ -135,7 +137,11 @@ def serialize_structure(value) -> str:
     parts = ['{\n  "agents": ', *_pieces(agents, "  ")]
     if labels is not None:
         parts.append(',\n  "provenance": {\n    "labels": ')
-        parts += _pieces((_label(name, *triple) for name, triple in labels), "    ")
+        encoded = dict(zip(S.states, names))  # every name and base is a state: each string encoded once
+        encoded.update(zip(S.agents, agents))
+        encoded.update((text, encode_basestring(text)) for text in value._events)
+        parts += _pieces((_LABEL % (encoded[agent], encoded[base], encoded[text], encoded[name])
+                          for (agent, base, text), name in labels), "    ")
         parts += [',\n    "origin_hash": ', encode_basestring(structure_hash(value.origin)), "\n  }"]
     parts.append(',\n  "relations": {')
     for k, (enc, agent) in enumerate(zip(agents, S.agents)):
@@ -207,29 +213,35 @@ def _attach_provenance(structure: InformationStructure, provenance) -> Counterfa
         raise ParseError(f"unknown keys in provenance: {sorted(unknown)}")
     origin_hash = _expect(provenance, "origin_hash", str, "provenance")
     labels_doc = _expect(provenance, "labels", list, "provenance")
-    labels: dict[str, CounterfactualLabel] = {}
+    # one walk: check each entry and fill the provenance table
+    table: dict[tuple[str, str, str], str] = {}
     events: dict[str, Event] = {}  # one event per distinct string
+    names: dict[str, None] = {}  # every label's state, in entry order
+    dup = None  # (table position, later state, earlier state) of the first repeated triple
     for entry in labels_doc:
-        if not isinstance(entry, dict) or set(entry) != _LABEL_KEYS:
+        if not isinstance(entry, dict) or entry.keys() != _LABEL_KEYS:
             raise ParseError(f"label entry {entry!r} must have exactly the keys {sorted(_LABEL_KEYS)}")
-        if not all(isinstance(entry[key], str) for key in _LABEL_KEYS):
+        name, agent, base, text = entry["state"], entry["agent"], entry["base"], entry["event"]
+        if not (isinstance(name, str) and isinstance(agent, str) and isinstance(base, str)
+                and isinstance(text, str)):
             raise ParseError(f"label entry {entry!r} must map every key to a string")
-        name = entry["state"]
-        if name in labels:
+        if name in names:
             raise ParseError(f"duplicate label for state {name!r}")
-        event = events.get(entry["event"])
-        if event is None:
+        names[name] = None
+        if text not in events:
             try:
-                event = events[entry["event"]] = parse_event_string(entry["event"])
+                events[text] = parse_event_string(text)
             except InputError as exc:
                 raise ParseError(f"label for {name!r}: {exc}") from None
-        labels[name] = CounterfactualLabel(agent=entry["agent"], base=entry["base"], event=event)
+        key = (agent, base, text)
+        if table.setdefault(key, name) is not name and dup is None:
+            dup = (len(table), name, table[key])
 
     state_set = set(structure.states)
-    for name in labels:
-        if name not in state_set:
-            raise ParseError(f"label references undeclared state {name!r}")
-    actual = sorted(state_set - set(labels))
+    if not names.keys() <= state_set:
+        name = next(name for name in names if name not in state_set)
+        raise ParseError(f"label references undeclared state {name!r}")
+    actual = sorted(state_set.difference(names))
     for name in actual:
         if "+" in name:
             raise ParseError(f"actual state {name!r} contains '+'; only duplicate names may")
@@ -246,15 +258,13 @@ def _attach_provenance(structure: InformationStructure, provenance) -> Counterfa
         domains = {agent: gamma(origin, agent) for agent in origin.agents}
     except EpistemicError as exc:
         raise ParseError(str(exc)) from None
-    # one entry per label; parse_event_string accepted each event string only in canonical form
-    mismatch = label_block_mismatch(
-        domains, origin.states, ((entry["agent"], entry["base"], entry["event"]) for entry in labels_doc)
-    )
+    # parse_event_string accepted each event string only in canonical form
+    mismatch = label_block_mismatch(domains, origin.states, table)
     if mismatch is not None:
         raise ParseError(f"labels do not form complete duplicate blocks ({mismatch})")
     try:
-        return CounterfactualStructure(
-            structure=structure, actual=actual, labels=labels, origin=origin
+        return CounterfactualStructure._from_table(
+            structure, frozenset(actual), origin, table, events, names, dup
         )
     except InputError as exc:
         raise ParseError(str(exc)) from None

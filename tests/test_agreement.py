@@ -1,5 +1,6 @@
 """Agreement verdicts and the disagreement search."""
 
+import copy
 import gc
 import itertools
 import json
@@ -764,6 +765,32 @@ def test_carrier_paired_with_another_origin_reads_none_of_its_entries(d1):
     with pytest.raises(DomainError) as got:
         check_agreement(paired(built), constant)
     assert str(got.value) == str(fresh.value)
+
+
+def test_pairing_is_read_only_so_its_entries_answer_for_one_origin(d1):
+    other = InformationStructure(
+        d1.states, d1.agents,
+        {"a": equivalence_pairs([["w0", "w2"], ["w1", "w3"]]), "b": d1.relations["b"]},
+    )
+    built = build_counterfactual(make_d1())
+    assert check_agreement(built, tuple(gamma_df(agent, {e: "x" for e in gamma(d1, agent)})
+                                        for agent in d1.agents)).passed
+    for field, value in (("origin", other), ("structure", other), ("actual", other.full_event),
+                          ("labels", {})):
+        with pytest.raises(AttributeError):
+            setattr(built, field, value)
+        with pytest.raises(AttributeError):
+            delattr(built, field)
+    with pytest.raises(TypeError):
+        built.labels["cf:a:w0:w0+w1"] = built.labels["cf:a:w1:w0+w1"]
+    assert built.origin == d1 and built._compiled
+    assert copy.copy(built) == built
+    constant = tuple(gamma_df(agent, {e: "x" for e in gamma(other, agent)}) for agent in d1.agents)
+    fresh = CounterfactualStructure(structure=built.structure, actual=built.actual, labels=built.labels,
+                                    origin=other)
+    with pytest.raises(DomainError) as err:
+        check_agreement(fresh, constant)
+    assert str(err.value) == "agent 'a' has no decision for their information at state 'cf:a:w0:w0+w1' (event w0+w1)"
 
 
 def test_compiled_entries_are_immutable():

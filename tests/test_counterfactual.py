@@ -1,5 +1,6 @@
 """Counterfactual construction and its verifier."""
 
+import dataclasses
 import itertools
 import random
 
@@ -9,6 +10,7 @@ from epistemic import (
     CLASS_BELIEF,
     CLASS_KD4,
     CheckResult,
+    CounterfactualLabel,
     CounterfactualStructure,
     InformationStructure,
     InputError,
@@ -26,6 +28,7 @@ from epistemic import (
     structure_to_document,
     verify_counterfactual,
 )
+from epistemic.cli import main
 from epistemic.counterfactual import _verification_groups
 from generators import random_belief_structure, random_partitional, random_structure
 from oracles import build_counterfactual_reference, reach_masks_per_state, restricted_to_reference
@@ -226,6 +229,50 @@ def test_constructor_rejects_bad_shapes(d1, d1_cf):
         CounterfactualStructure(
             structure=bad, actual=d1_cf.actual, labels=d1_cf.labels, origin=d1
         )
+
+
+def _relabelled(built, changes):
+    """The label map with some labels changed, {position: change}: a change is either new field
+    values, or the position of the label whose triple the label takes."""
+    labels = dict(built.labels)
+    names = list(labels)
+    for k, change in changes.items():
+        if isinstance(change, int):
+            labels[names[k]] = labels[names[change]]
+        else:
+            labels[names[k]] = dataclasses.replace(labels[names[k]], **change)
+    return labels
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({3: {"agent": "z"}}, "label for 'cf:a:w3:w0+w1' names unknown agent 'z'"),
+    ({3: {"base": "cf:a:w0:w0+w1"}}, "label for 'cf:a:w3:w0+w1' has non-actual base 'cf:a:w0:w0+w1'"),
+    ({3: {"event": frozenset({"nowhere"})}}, "label for 'cf:a:w3:w0+w1' has an event outside the actual states"),
+    ({3: {"event": frozenset()}}, "label for 'cf:a:w3:w0+w1' has an event outside the actual states"),
+    ({3: 2}, "duplicate label triple for 'cf:a:w3:w0+w1' and 'cf:a:w2:w0+w1'"),
+    # the first faulty label in label order decides, whatever its fault
+    ({3: 2, 4: {"agent": "z"}}, "duplicate label triple for 'cf:a:w3:w0+w1' and 'cf:a:w2:w0+w1'"),
+    ({5: 2, 3: {"agent": "z"}}, "label for 'cf:a:w3:w0+w1' names unknown agent 'z'"),
+    ({3: {"base": "cf:a:w0:w0+w1"}, 4: {"agent": "z"}},
+     "label for 'cf:a:w3:w0+w1' has non-actual base 'cf:a:w0:w0+w1'"),
+    ({4: {"base": "cf:a:w0:w0+w1"}, 3: {"agent": "z"}}, "label for 'cf:a:w3:w0+w1' names unknown agent 'z'"),
+])
+def test_constructor_label_errors_keep_their_messages(d1_cf, changes, message):
+    with pytest.raises(InputError) as err:
+        CounterfactualStructure(structure=d1_cf.structure, actual=d1_cf.actual,
+                                labels=_relabelled(d1_cf, changes), origin=d1_cf.origin)
+    assert str(err.value) == message
+
+
+def test_constructor_refuses_labels_that_do_not_cover_the_duplicates(d1_cf):
+    names = list(d1_cf.labels)
+    fewer = {k: v for k, v in d1_cf.labels.items() if k != names[3]}
+    more = {**d1_cf.labels, "w0": d1_cf.labels[names[3]]}  # an actual state labelled too
+    for labels in (fewer, more):
+        with pytest.raises(InputError) as err:
+            CounterfactualStructure(structure=d1_cf.structure, actual=d1_cf.actual, labels=labels,
+                                    origin=d1_cf.origin)
+        assert str(err.value) == "labels must cover exactly the non-actual states"
 
 
 def test_colon_heavy_names_cannot_collide_silently():
@@ -749,6 +796,7 @@ def test_row_build_matches_the_pair_reference():
     sources = [S for S, _, _ in _verified_corpus()]
     sources += [_chain(n) for n in range(4, 13, 2)]
     sources.append(_colon_heavy(["a", "c:d"]))  # colons in every generated name, but no collision
+    rng = random.Random(112)
     for S in sources:
         built, want = build_counterfactual(S), build_counterfactual_reference(S)
         assert built == want
@@ -757,7 +805,20 @@ def test_row_build_matches_the_pair_reference():
             (label.agent, label.base, canonical_event_string(label.event)): name
             for name, label in want.labels.items()
         }
+        assert list(built._by_triple.items()) == list(want._by_triple.items())
         assert serialize_structure(built) == serialize_structure(want)
+        # a parsed document lists its labels by state name
+        parsed = parse_structure(serialize_structure(built))
+        assert parsed == want
+        assert list(parsed.labels.items()) == sorted(want.labels.items())
+        assert list(parsed._by_triple.items()) == sorted(want._by_triple.items(), key=lambda item: item[1])
+        # the public constructor reads back the labels it was given, in the order given
+        given = list(want.labels.items())
+        rng.shuffle(given)
+        again = CounterfactualStructure(structure=built.structure, actual=built.actual, labels=dict(given),
+                                        origin=S)
+        assert again == want
+        assert list(again.labels.items()) == given
     # the colliding colon-heavy case is refused by both, with one message
     messages = set()
     for build in (build_counterfactual, build_counterfactual_reference):
@@ -765,6 +826,31 @@ def test_row_build_matches_the_pair_reference():
             build(_colon_heavy(["a", "a:b"]))
         messages.add(str(err.value))
     assert len(messages) == 1 and "collides" in messages.pop()
+
+
+def test_only_the_first_read_of_labels_makes_label_objects(monkeypatch, tmp_path):
+    made = []
+    init = CounterfactualLabel.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CounterfactualLabel, "__init__", counting)
+    source = _chain(12)
+    built = build_counterfactual(source)
+    text = serialize_structure(built)
+    parsed = parse_structure(text)
+    assert verify_counterfactual(source, built).passed
+    assert verify_counterfactual(parsed.origin, parsed).passed
+    (tmp_path / "chain12.json").write_text(serialize_structure(source), "utf-8")
+    assert main(["counterfactual", str(tmp_path / "chain12.json"), "-o", str(tmp_path / "cf.json")]) == 0
+    assert main(["validate", str(tmp_path / "cf.json")]) == 0
+    assert main(["validate", "--json", str(tmp_path / "cf.json")]) == 0
+    assert (tmp_path / "cf.json").read_text("utf-8") == text
+    assert made == []
+    assert len(parsed.labels) == 1512 and len(made) == 1512
+    assert parsed.labels is parsed.labels and len(made) == 1512
 
 
 def test_rows_in_entry_point_equals_the_public_constructor():

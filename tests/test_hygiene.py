@@ -1,11 +1,13 @@
 """Source hygiene: no `assert` invariants, no random sampling, one canonical layout,
-two constructor bypasses, one writer per index fact.
+three constructor bypasses, one maker of provenance labels, one writer per index fact.
 
 ``python -O`` strips ``assert`` statements, so a runtime invariant written as
 one silently disappears; every check the library runs is exact, so it has no
 use for the ``random`` module; the indented JSON layout is defined once,
-in ``serialization.canonical_json``; and ``__new__`` skips a constructor's
-checks, so only the two entry points that take parts already checked call it.
+in ``serialization.canonical_json``; and ``__new__`` skips a constructor, so
+only the entry points that take parts already checked, or that run the
+constructor's own checks, call it. Provenance labels are made in one place,
+from the counterfactual structure's table, when they are first read.
 Each kind of per-structure fact is written by one module, so that one module
 owns how it is built and keyed.
 """
@@ -63,9 +65,22 @@ def test_new_is_called_only_by_the_two_checked_parts_entry_points():
                 around = [s for s in scopes if s.lineno <= node.lineno <= s.end_lineno]
                 callers.append((path.name, ".".join(s.name for s in sorted(around, key=lambda s: s.lineno))))
     assert sorted(callers) == [
+        ("counterfactual.py", "CounterfactualStructure._from_table"),
         ("decisions.py", "DecisionFunction._built"),
         ("structures.py", "InformationStructure._from_rows"),
     ]
+
+
+def test_labels_are_made_only_by_the_labels_property():
+    callers = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text("utf-8"), filename=str(path))
+        scopes = [n for n in ast.walk(tree) if isinstance(n, (ast.ClassDef, ast.FunctionDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "CounterfactualLabel":
+                around = [s for s in scopes if s.lineno <= node.lineno <= s.end_lineno]
+                callers.append((path.name, ".".join(s.name for s in sorted(around, key=lambda s: s.lineno))))
+    assert callers == [("counterfactual.py", "CounterfactualStructure.labels")]
 
 
 def test_each_fact_kind_is_written_by_one_module():

@@ -226,6 +226,15 @@ def _mutated_golden_counterfactual(kind):
         doc["provenance"]["labels"] = [label for label in labels if label["state"] not in gone]
         doc["states"] = [s for s in doc["states"] if s not in gone]
         doc["relations"] = {a: [p for p in pairs if p[0] not in gone] for a, pairs in doc["relations"].items()}
+    elif kind == "non-object entry":
+        labels[0] = labels[0]["state"]
+    elif kind == "wrong keys":
+        del labels[0]["base"]
+    elif kind == "non-string value":
+        labels[0]["base"] = 0
+    elif kind == "duplicate triple":  # a new state, labelled with the first label's triple
+        labels.append({**labels[0], "state": "cf:zz"})
+        doc["states"].append("cf:zz")
     return json.dumps(doc)
 
 
@@ -238,6 +247,13 @@ def _mutated_golden_counterfactual(kind):
     ("undeclared state", "label references undeclared state 'cf:a:w0:nowhere'"),
     ("missing block", "labels do not form complete duplicate blocks (missing [('a', 'w0', 'w0+w1'), "
                       "('a', 'w1', 'w0+w1'), ('a', 'w2', 'w0+w1')], unexpected [])"),
+    ("non-object entry",
+     "label entry 'cf:a:w0:w0+w1' must have exactly the keys ['agent', 'base', 'event', 'state']"),
+    ("wrong keys", "label entry {'agent': 'a', 'event': 'w0+w1', 'state': 'cf:a:w0:w0+w1'} "
+                   "must have exactly the keys ['agent', 'base', 'event', 'state']"),
+    ("non-string value", "label entry {'agent': 'a', 'base': 0, 'event': 'w0+w1', 'state': 'cf:a:w0:w0+w1'} "
+                         "must map every key to a string"),
+    ("duplicate triple", "duplicate label triple for 'cf:zz' and 'cf:a:w0:w0+w1'"),
 ])
 def test_label_errors_keep_their_messages(tmp_path, capsys, kind, message):
     text = _mutated_golden_counterfactual(kind)
