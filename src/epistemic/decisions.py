@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import ClassVar, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError, InputError, ResourceLimitError
-from .partitions import _closure, gamma, partition
+from .partitions import _closure, gamma
 from .structures import (
     Event,
     InformationStructure,
@@ -204,22 +204,24 @@ def check_stp_gamma(structure: InformationStructure, df: DecisionFunction,
     Cells are the atoms of the union closure, so each domain event decomposes
     uniquely and the check is a direct sweep over cell subsets.
     """
-    _table_key(structure, df, max_cells)  # raises unless the table covers the domain exactly
-    pairs = _closure(structure, df.agent, max_cells)[3]
+    key = _table_key(structure, df, max_cells)  # raises unless the table covers the domain exactly
+    _, order, _, pairs = _closure(structure, df.agent, max_cells)
+    return _stp_violations(df.agent, order, pairs, key[1:])
+
+
+def _stp_violations(agent: str, events: Sequence[Event], pairs, actions: Sequence[str]) -> ViolationList:
+    """The principle's violations of one agent's table, ``actions[p]`` being its action on
+    ``events[p]``, in the order of ``pairs``."""
     return ViolationList(entries=tuple(
-        Violation(kind="stp", agents=(df.agent,), events=family, union_event=union,
-                  expected=expected, actual=actual)
-        for family, union, expected, actual in _stp_breaks(pairs, df.table)
+        Violation(kind="stp", agents=(agent,), events=tuple(events[k] for k in members),
+                  union_event=events[union], expected=expected, actual=actual)
+        for members, union, expected, actual in _stp_breaks(pairs, actions)
     ))
 
 
-def _stp_breaks(pairs, actions) -> Iterator[tuple]:
-    """(members, union, their action, the union's action) for every (members, union)
-    pair whose members all take one action and whose union takes another.
-
-    ``actions`` is looked up with what the pairs hold: a table for event pairs,
-    a sequence for index pairs.
-    """
+def _stp_breaks(pairs, actions: Sequence[str]) -> Iterator[tuple]:
+    """(members, union, their action, the union's action) for every (member positions,
+    union position) pair whose members all take one action and whose union takes another."""
     for members, union in pairs:
         expected = actions[members[0]]
         actual = actions[union]
@@ -276,12 +278,7 @@ def check_stp_field(field: Iterable[Event], df: DecisionFunction) -> ViolationLi
             f"field decision table for agent {df.agent!r} must be total on the field exactly"
         )
     events, masks, _ = _compiled_field(field_set)
-    return ViolationList(entries=tuple(
-        Violation(kind="stp", agents=(df.agent,), events=tuple(events[k] for k in members),
-                  union_event=events[union], expected=expected, actual=actual)
-        for members, union, expected, actual
-        in _stp_breaks(_disjoint_families(masks), [df.table[e] for e in events])
-    ))
+    return _stp_violations(df.agent, events, _disjoint_families(masks), [df.table[e] for e in events])
 
 
 def complete_stp_field(field: Iterable[Event], table: Mapping[Event, str]) -> dict[Event, str]:
@@ -414,46 +411,6 @@ def _disagreements(agents: Sequence[str], rows: Sequence[Sequence[str]], start: 
 # ---------------------------------------------------------------------------
 
 
-def stp_completions(
-    structure: InformationStructure,
-    agent: str,
-    cell_values: Mapping[Event, str],
-    actions,
-    *,
-    max_cells: int | None = None,
-) -> Iterator[dict[Event, str]]:
-    """All principle-respecting tables extending the given values on cells.
-
-    Each domain event decomposes uniquely into cells; unions of same-action
-    cells are forced, unions of mixed-action cells are free choices. Tables
-    come out in lexicographic order of their action tuple over the canonical
-    domain order.
-    """
-    acts = normalize_actions(actions)
-    cells = partition(structure, agent)
-    if set(cell_values) != set(cells):
-        raise InputError(f"cell values must cover agent {agent!r}'s cells exactly")
-    yield from _completions(cells, gamma(structure, agent, max_cells=max_cells), cell_values, acts)
-
-
-def _completions(cells: tuple[Event, ...], domain: tuple[Event, ...], cell_values: Mapping[Event, str],
-                 acts: tuple[str, ...]) -> Iterator[dict[Event, str]]:
-    forced: dict[Event, str] = dict(cell_values)
-    free: list[Event] = []
-    for event in domain:
-        if event in forced:
-            continue
-        member_actions = {cell_values[c] for c in cells if c <= event}
-        if len(member_actions) == 1:
-            forced[event] = next(iter(member_actions))
-        else:
-            free.append(event)
-    for choice in itertools.product(acts, repeat=len(free)):
-        table = dict(forced)
-        table.update(zip(free, choice))
-        yield table
-
-
 def _gamma_tables(
     structure: InformationStructure,
     agent: str,
@@ -462,7 +419,13 @@ def _gamma_tables(
     max_families: int,
     max_cells: int | None,
 ) -> list[dict[Event, str]]:
-    domain = gamma(structure, agent, max_cells=max_cells)
+    """The agent's tables in lexicographic order of their actions over the canonical domain
+    order, every table or only those that respect the principle.
+
+    Under the principle a table is an assignment of actions to the cells plus a choice on
+    every union of mixed-action cells; the union of same-action cells takes their action.
+    """
+    cells, domain, _, pairs = _closure(structure, agent, max_cells)
     if not stp:
         count = len(acts) ** len(domain)
         if count > max_families:
@@ -470,17 +433,28 @@ def _gamma_tables(
                 f"agent {agent!r} alone admits {count} tables, above the cap of {max_families}"
             )
         return [dict(zip(domain, combo)) for combo in itertools.product(acts, repeat=len(domain))]
-    cells = partition(structure, agent)
     if len(acts) ** len(cells) > max_families:
         raise ResourceLimitError(f"too many cell assignments for agent {agent!r}")
-    tables = []
+    rows: list[tuple[str, ...]] = []
+    row: list[str] = [""] * len(domain)
     for cell_combo in itertools.product(acts, repeat=len(cells)):
-        for table in _completions(cells, domain, dict(zip(cells, cell_combo)), acts):
-            tables.append(table)
-            if len(tables) > max_families:
-                raise ResourceLimitError(f"too many principle-respecting tables for agent {agent!r}")
-    tables.sort(key=lambda t: tuple(t[e] for e in domain))
-    return tables
+        for p, action in zip(cells, cell_combo):
+            row[p] = action
+        free = []
+        for members, union in pairs:
+            first = row[members[0]]
+            if all(row[m] == first for m in members[1:]):
+                row[union] = first
+            else:
+                free.append(union)
+        if len(rows) + len(acts) ** len(free) > max_families:
+            raise ResourceLimitError(f"too many principle-respecting tables for agent {agent!r}")
+        for choice in itertools.product(acts, repeat=len(free)):
+            for p, action in zip(free, choice):
+                row[p] = action
+            rows.append(tuple(row))
+    rows.sort()
+    return [dict(zip(domain, r)) for r in rows]
 
 
 def _join_steps(structure: InformationStructure, agents: tuple[str, ...],

@@ -86,7 +86,7 @@ def _closure(structure: InformationStructure, agent: str, max_cells: int | None)
     fact = structure._facts.get(("gamma", agent))  # read directly on a hit: _memo takes a closure
     # Compared on every call, so a stored closure never bypasses the cap; a cap that is not
     # an int, or that the cell count exceeds, takes the checked path, which raises.
-    if fact is None or fact[0] > (max_cells if type(max_cells) is int else resolve_max_cells(max_cells)):
+    if fact is None or len(fact[0]) > (max_cells if type(max_cells) is int else resolve_max_cells(max_cells)):
         cells = partition(structure, agent)
         cap = resolve_max_cells(max_cells)
         if len(cells) > cap:
@@ -99,16 +99,20 @@ def _closure(structure: InformationStructure, agent: str, max_cells: int | None)
 
 
 def _union_closure(cells: tuple[Event, ...]) -> tuple:
-    """(cell count, the non-empty unions of the cells in canonical order, those unions as a
-    set, (cell family, union) for every family of two or more cells in combinations order),
-    from one walk over the cell combinations. The families are what the Sure-Thing
-    Principle ranges over."""
-    pairs = tuple(
-        (family, frozenset().union(*family))
-        for r in range(2, len(cells) + 1) for family in itertools.combinations(cells, r)
-    )
-    domain = frozenset(cells).union(union for _, union in pairs)
-    return len(cells), tuple(sorted(domain, key=canonical_event_string)), domain, pairs
+    """(the cells' positions, the non-empty unions of the cells in canonical order, those
+    unions as a set, (member positions, union position) for every family of two or more
+    cells in combinations order), from one walk over the cell combinations. Positions index
+    the canonical order. Cells are disjoint, so each union has exactly one family: the
+    pairs are what the Sure-Thing Principle ranges over."""
+    families = [
+        (family, frozenset().union(*(cells[k] for k in family)))
+        for r in range(2, len(cells) + 1) for family in itertools.combinations(range(len(cells)), r)
+    ]
+    order = tuple(sorted([*cells, *(union for _, union in families)], key=canonical_event_string))
+    position = {event: p for p, event in enumerate(order)}
+    at = tuple(position[cell] for cell in cells)
+    pairs = tuple((tuple(at[k] for k in family), position[union]) for family, union in families)
+    return at, order, frozenset(order), pairs
 
 
 def is_possible_belief(structure: InformationStructure, agent: str, event) -> bool:

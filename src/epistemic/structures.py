@@ -178,11 +178,16 @@ class InformationStructure:
                    succ: dict[str, list[int]]) -> InformationStructure:
         """A structure from checked parts: sorted, distinct state and agent names and one successor
         row per state for each agent; equal to the public build on the same pairs. No name goes
-        through ``validate_token``: the one caller, ``build_counterfactual``, joins validated
-        agent and state tokens with ':' and '+', and refuses a generated name that collides."""
+        through ``validate_token``: ``build_counterfactual`` joins validated agent and state
+        tokens with ':' and '+', and refuses a generated name that collides, and a copy or an
+        unpickled structure (see ``__reduce__``) has the names of a structure already built."""
         structure = cls.__new__(cls)
         structure._set_slots(states, agents, {s: k for k, s in enumerate(states)}, succ)
         return structure
+
+    def __reduce__(self):
+        # a copy is the parts alone: the index is recomputed on use, and some facts cannot be pickled
+        return self._from_rows, (self.states, self.agents, self._succ)
 
     def _set_slots(self, states: tuple[str, ...], agents: tuple[str, ...],
                    index: dict[str, int], succ: dict[str, list[int]]) -> None:

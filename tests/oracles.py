@@ -9,11 +9,13 @@ successor masks: one breadth-first search per state for the group reach, and
 a restriction that filters the sorted relation pairs. The next is the
 principle's completion on a field as it was before fields were compiled once:
 every round re-indexes the valued events and collects every same-action
-family before filling any union in. The next is the gamma enumeration as it
-was before like-mindedness became a join: the full product of the agents'
-tables, filtered. Next is like-mindedness as it was before it compared
-positions in the tables' entry keys: every shared event looked up in two
-tables. The last is the counterfactual build as it was before it wrote
+family before filling any union in. Next are one agent's gamma tables as
+they were before they were read off the union-closure fact's position pairs:
+every completion of every cell assignment, each union's cells found by subset
+tests. The next is the gamma enumeration as it was before like-mindedness
+became a join: the full product of those tables, filtered. Next is
+like-mindedness as it was before it compared positions in the tables' entry
+keys: every shared event looked up in two tables. The last is the counterfactual build as it was before it wrote
 successor rows: a set of relation pairs per agent, which the public
 constructor turns into rows.
 """
@@ -38,8 +40,9 @@ from epistemic import (
     counterfactual_state_name,
     gamma,
     normalize_actions,
+    partition,
 )
-from epistemic.decisions import GAMMA_KIND, _gamma_tables, _undecided, _validate_gamma_domain
+from epistemic.decisions import GAMMA_KIND, _undecided, _validate_gamma_domain
 
 
 @dataclass
@@ -199,6 +202,78 @@ def complete_stp_field_reference(field: Iterable[Event], table: Mapping[Event, s
     return out
 
 
+def stp_completions_reference(
+    structure: InformationStructure,
+    agent: str,
+    cell_values: Mapping[Event, str],
+    actions,
+    *,
+    max_cells: int | None = None,
+) -> Iterator[dict[Event, str]]:
+    """All principle-respecting tables extending the given values on cells.
+
+    Each domain event decomposes uniquely into cells; unions of same-action
+    cells are forced, unions of mixed-action cells are free choices. Tables
+    come out in lexicographic order of their action tuple over the canonical
+    domain order.
+    """
+    acts = normalize_actions(actions)
+    cells = partition(structure, agent)
+    if set(cell_values) != set(cells):
+        raise InputError(f"cell values must cover agent {agent!r}'s cells exactly")
+    yield from _completions(cells, gamma(structure, agent, max_cells=max_cells), cell_values, acts)
+
+
+def _completions(cells: tuple[Event, ...], domain: tuple[Event, ...], cell_values: Mapping[Event, str],
+                 acts: tuple[str, ...]) -> Iterator[dict[Event, str]]:
+    forced: dict[Event, str] = dict(cell_values)
+    free: list[Event] = []
+    for event in domain:
+        if event in forced:
+            continue
+        member_actions = {cell_values[c] for c in cells if c <= event}
+        if len(member_actions) == 1:
+            forced[event] = next(iter(member_actions))
+        else:
+            free.append(event)
+    for choice in itertools.product(acts, repeat=len(free)):
+        table = dict(forced)
+        table.update(zip(free, choice))
+        yield table
+
+
+def gamma_tables_reference(
+    structure: InformationStructure,
+    agent: str,
+    acts: tuple[str, ...],
+    stp: bool,
+    max_families: int,
+    max_cells: int | None,
+) -> list[dict[Event, str]]:
+    """One agent's gamma tables in lexicographic order of their actions over the canonical
+    domain order: the full product, or under the principle every completion of every cell
+    assignment, each union's cells found by subset tests, then sorted."""
+    domain = gamma(structure, agent, max_cells=max_cells)
+    if not stp:
+        count = len(acts) ** len(domain)
+        if count > max_families:
+            raise ResourceLimitError(
+                f"agent {agent!r} alone admits {count} tables, above the cap of {max_families}"
+            )
+        return [dict(zip(domain, combo)) for combo in itertools.product(acts, repeat=len(domain))]
+    cells = partition(structure, agent)
+    if len(acts) ** len(cells) > max_families:
+        raise ResourceLimitError(f"too many cell assignments for agent {agent!r}")
+    tables = []
+    for cell_combo in itertools.product(acts, repeat=len(cells)):
+        for table in _completions(cells, domain, dict(zip(cells, cell_combo)), acts):
+            tables.append(table)
+            if len(tables) > max_families:
+                raise ResourceLimitError(f"too many principle-respecting tables for agent {agent!r}")
+    tables.sort(key=lambda t: tuple(t[e] for e in domain))
+    return tables
+
+
 def gamma_profiles_reference(
     structure: InformationStructure,
     actions,
@@ -212,7 +287,7 @@ def gamma_profiles_reference(
     dropping those that disagree on an event two agents share when ``like_minded``."""
     acts = normalize_actions(actions)
     agents = structure.agents
-    per_agent = [_gamma_tables(structure, a, acts, stp, max_families, max_cells) for a in agents]
+    per_agent = [gamma_tables_reference(structure, a, acts, stp, max_families, max_cells) for a in agents]
     total = math.prod(len(tables) for tables in per_agent)
     if total > max_families:
         raise ResourceLimitError(f"{total} families exceed the cap of {max_families}")

@@ -1,7 +1,9 @@
 """Counterfactual construction and its verifier."""
 
+import copy
 import dataclasses
 import itertools
+import pickle
 import random
 
 import pytest
@@ -12,6 +14,7 @@ from epistemic import (
     CheckResult,
     CounterfactualLabel,
     CounterfactualStructure,
+    DecisionFunction,
     InformationStructure,
     InputError,
     NotFoundError,
@@ -19,6 +22,7 @@ from epistemic import (
     ResourceLimitError,
     build_counterfactual,
     canonical_event_string,
+    check_agreement,
     counterfactual_state_name,
     equivalence_pairs,
     gamma,
@@ -28,6 +32,7 @@ from epistemic import (
     structure_to_document,
     verify_counterfactual,
 )
+from epistemic import d1 as make_d1
 from epistemic.cli import main
 from epistemic.counterfactual import _verification_groups
 from generators import random_belief_structure, random_partitional, random_structure
@@ -875,3 +880,28 @@ def test_built_and_parsed_carriers_keep_one_int_per_distinct_row():
     for S in (built.structure, parsed.structure):
         for rows in S._succ.values():
             assert len({id(r) for r in rows}) == len(set(rows)) < len(rows)
+
+
+def test_classified_structures_and_their_pairings_copy_and_pickle():
+    classified = make_d1()
+    assert classified.is_partitional()
+    built = build_counterfactual(make_d1())
+    family = tuple(DecisionFunction(agent=a, kind="gamma", table={e: "x" for e in gamma(built.origin, a)})
+                   for a in built.origin.agents)
+    verdict = check_agreement(built, family)
+    assert verdict.passed and verdict.hypotheses_met
+    parsed = parse_structure(serialize_structure(build_counterfactual(_chain(6))))
+    assert verify_counterfactual(parsed.origin, parsed).passed
+    assert classified._facts and built._compiled and built.origin._facts and parsed.structure._facts
+    for original in (classified, built, parsed):
+        for copy_of in (copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+            twin = copy_of(original)
+            assert type(twin) is type(original) and twin == original
+            if isinstance(original, InformationStructure):
+                assert twin._facts == {}
+                assert (twin._index, twin._full) == (original._index, original._full)
+                assert twin.is_partitional()
+            else:
+                assert twin._compiled == twin.origin._facts == twin.structure._facts == {}
+                assert verify_counterfactual(twin.origin, twin).passed
+    assert check_agreement(pickle.loads(pickle.dumps(built)), family) == verdict

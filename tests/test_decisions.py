@@ -28,10 +28,10 @@ from epistemic import (
     enumerate_decision_profiles,
     equivalence_pairs,
     gamma,
+    normalize_actions,
     partition,
     powerset_field,
     search_disagreement,
-    stp_completions,
     union_of_gammas,
 )
 from epistemic import d1 as make_d1
@@ -42,7 +42,9 @@ from oracles import (
     derive_action_function,
     disagreements_reference,
     gamma_profiles_reference,
+    gamma_tables_reference,
     shared_events_reference,
+    stp_completions_reference,
 )
 
 
@@ -267,10 +269,10 @@ def test_stp_field_matches_gamma_on_shared_domain(d1):
 
 
 def test_stp_completions_counts(d1):
-    uniform = list(stp_completions(d1, "a", {A_CELLS[0]: "x", A_CELLS[1]: "x"}, ["x", "y"]))
+    uniform = list(stp_completions_reference(d1, "a", {A_CELLS[0]: "x", A_CELLS[1]: "x"}, ["x", "y"]))
     assert len(uniform) == 1
     assert uniform[0][FULL] == "x"
-    mixed = list(stp_completions(d1, "a", {A_CELLS[0]: "x", A_CELLS[1]: "y"}, ["x", "y"]))
+    mixed = list(stp_completions_reference(d1, "a", {A_CELLS[0]: "x", A_CELLS[1]: "y"}, ["x", "y"]))
     assert len(mixed) == 2
     assert {t[FULL] for t in mixed} == {"x", "y"}
 
@@ -779,6 +781,16 @@ def _chain(n):
     })
 
 
+def _three():
+    # c shares w0+w1 and w2 with a, and w0 and w1+w2 with b only, so its bucket key reads both
+    states = ["w0", "w1", "w2"]
+    return InformationStructure(states, ["a", "b", "c"], {
+        "a": equivalence_pairs([["w0", "w1"], ["w2"]]),
+        "b": equivalence_pairs([["w0"], ["w1", "w2"]]),
+        "c": equivalence_pairs([[s] for s in states]),
+    })
+
+
 def _stream_outcome(stream):
     """Every family of a stream in order, or the type and message of the error it raised."""
     try:
@@ -796,14 +808,7 @@ def test_like_minded_join_matches_the_filtered_product(stp, like_minded):
         S = random_partitional(rng, max_states=4, max_agents=3, max_cells=3)
         if len(S.agents) >= 2 and len(S.states) >= 3 and len(seeded[len(S.agents)]) < 5:
             seeded[len(S.agents)].append(S)
-    # c shares w0+w1 and w2 with a, and w0 and w1+w2 with b only, so its bucket key reads both
-    states = ["w0", "w1", "w2"]
-    three = InformationStructure(states, ["a", "b", "c"], {
-        "a": equivalence_pairs([["w0", "w1"], ["w2"]]),
-        "b": equivalence_pairs([["w0"], ["w1", "w2"]]),
-        "c": equivalence_pairs([[s] for s in states]),
-    })
-    cases = [(make_d1(), k) for k in (1, 2, 3)] + [(_chain(6), 2), (three, 2)]
+    cases = [(make_d1(), k) for k in (1, 2, 3)] + [(_chain(6), 2), (_three(), 2)]
     cases += [(S, 2) for S in seeded[2] + seeded[3]]
     compared = Counter()
     for S, k in cases:
@@ -818,6 +823,43 @@ def test_like_minded_join_matches_the_filtered_product(stp, like_minded):
                 assert got[0] is ResourceLimitError
                 compared["raised"] += 1
     assert compared[2] > 1000 and compared[3] > 100 and compared["raised"] > 0
+
+
+def _tables_outcome(tables, *args):
+    try:
+        return tables(*args)
+    except EpistemicError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("stp", [False, True])
+def test_gamma_tables_match_the_completion_reference(stp):
+    rng = random.Random(607)
+    seeded = [random_partitional(rng, max_states=5, max_agents=3, max_cells=4) for _ in range(40)]
+    states = [f"s{k}" for k in range(5)]
+    singletons = InformationStructure(states, ["a"], {"a": equivalence_pairs([[s] for s in states])})
+    compared = Counter()
+    for S in [make_d1(), _chain(6), _three(), singletons, *seeded]:
+        for acts in map(normalize_actions, (1, 2, 3)):
+            for agent in S.agents:
+                args = (S, agent, acts, stp)
+                full = _tables_outcome(decisions._gamma_tables, *args, 5_000, None)
+                assert full == _tables_outcome(gamma_tables_reference, *args, 5_000, None)
+                if type(full) is tuple:
+                    compared[full] += 1
+                    continue
+                order = list(gamma(S, agent))
+                assert all(list(table) == order for table in full)  # each dict in canonical domain order
+                compared["tables"] += len(full)
+                # the cap at exactly the table count returns them all, one below raises
+                for cap, outcome_type in ((len(full), list), (len(full) - 1, tuple)):
+                    got = _tables_outcome(decisions._gamma_tables, *args, cap, None)
+                    assert got == _tables_outcome(gamma_tables_reference, *args, cap, None)
+                    assert type(got) is outcome_type
+    assert compared["tables"] > 10_000
+    # 5 singleton cells with 2 actions: 2**31 tables, and over 5,000 that respect the principle
+    assert compared[ResourceLimitError, "too many principle-respecting tables for agent 'a'"] >= 2 * stp
+    assert compared[ResourceLimitError, "agent 'a' alone admits 2147483648 tables, above the cap of 5000"] == 1 - stp
 
 
 @pytest.mark.parametrize("kind", ["gamma", "field"])

@@ -19,6 +19,7 @@ from epistemic import (
     partition,
     resolve_max_cells,
 )
+from epistemic.partitions import _closure
 from generators import random_partitional
 
 
@@ -212,3 +213,28 @@ def test_strict_unions_are_never_possible_beliefs():
 def test_flaw_report_requires_partitional():
     with pytest.raises(PreconditionError):
         flaw_report(NON_PARTITIONAL, "i")
+
+
+def test_union_closure_fact_holds_cell_positions_and_one_pair_per_union(d1):
+    rng = random.Random(19)
+    structures = [d1] + [random_partitional(rng, max_states=6, max_cells=5) for _ in range(30)]
+    paired = 0
+    for S in structures:
+        for agent in S.agents:
+            at, order, domain, pairs = _closure(S, agent, None)
+            cells = partition(S, agent)
+            assert order == gamma(S, agent) and domain == frozenset(order)
+            assert tuple(order[p] for p in at) == cells
+            expected = [
+                (tuple(at[k] for k in family), order.index(frozenset().union(*(cells[k] for k in family))))
+                for r in range(2, len(cells) + 1) for family in itertools.combinations(range(len(cells)), r)
+            ]
+            assert list(pairs) == expected  # combinations order
+            for members, union in pairs:
+                assert order[union] == frozenset().union(*(order[m] for m in members))
+            unions = [union for _, union in pairs]
+            # one pair per union of two or more cells, and every position is a cell or such a union
+            assert len(set(unions)) == len(unions) == 2 ** len(cells) - 1 - len(cells)
+            assert sorted(unions + list(at)) == list(range(len(order)))
+            paired += len(pairs)
+    assert paired > 200
