@@ -262,7 +262,10 @@ def search_disagreement(
     produce a commonly-believed disagreement. The first witness in enumeration
     order is returned.
     """
-    relax_set = frozenset(relax)
+    try:
+        relax_set = frozenset(relax)
+    except TypeError:
+        raise InputError(f"relax must be an iterable of hypothesis names, got {relax!r}") from None
     bad = relax_set - set(RELAXABLE)
     if bad:
         raise InputError(f"unknown relaxable hypotheses: {sorted(bad)}")

@@ -76,39 +76,31 @@ class CounterfactualStructure:
         origin: InformationStructure,
     ):
         actual = frozenset(actual)
-        table: dict[tuple[str, str, str], str] = {}
+        pairs: list[tuple[tuple[str, str, str], str]] = []
         events: dict[str, Event] = {}
-        strings: dict[Event, str] = {}  # each distinct event is written once
-        dup = None
         for name, label in labels.items():
-            event = label.event
-            text = strings.get(event)
-            if text is None:
-                # an event the checks refuse is keyed as the empty one, which they refuse too
-                text = strings[event] = canonical_event_string(event) if event and event <= actual else ""
-                events.setdefault(text, event)
-            key = (label.agent, label.base, text)
-            if table.setdefault(key, name) is not name and dup is None:
-                dup = (len(table), name, table[key])
-        self._init(structure, actual, origin, table, events, labels.keys(), dup)
+            # an event the checks refuse is keyed as the empty one, which they refuse too
+            text = canonical_event_string(label.event) if label.event and label.event <= actual else ""
+            events.setdefault(text, label.event)
+            pairs.append(((label.agent, label.base, text), name))
+        self._init(structure, actual, origin, pairs, events)
 
     @classmethod
-    def _from_table(cls, structure: InformationStructure, actual: frozenset[str], origin: InformationStructure,
-                    table: dict[tuple[str, str, str], str], events: dict[str, Event],
-                    names: Iterable[str] | None = None, dup: tuple[int, str, str] | None = None,
-                    ) -> CounterfactualStructure:
-        """A pairing from its provenance table and each event string's event, through the
-        public constructor's checks. ``names`` are every label's state (the table's names
-        by default); ``dup`` is (position in the table, later name, earlier name) for the
-        first label whose triple an earlier label already holds."""
+    def _from_labels(cls, structure: InformationStructure, actual: frozenset[str], origin: InformationStructure,
+                     labels: Sequence[tuple[tuple[str, str, str], str]], events: dict[str, Event]
+                     ) -> CounterfactualStructure:
+        """A pairing from its labels, ((agent, base, event string), state) pairs in label order,
+        and each event string's event, through the public constructor's checks."""
         built = cls.__new__(cls)
-        built._init(structure, actual, origin, table, events, table.values() if names is None else names, dup)
+        built._init(structure, actual, origin, labels, events)
         return built
 
-    def _init(self, structure, actual, origin, table, events, names, dup) -> None:
-        """Store the pairing and run the one check routine both entry points share: the first
-        fault in label order is raised, with one message whichever entry point built the table."""
+    def _init(self, structure, actual, origin, labels, events) -> None:
+        """Store the pairing, fill its provenance table in label order, and run the one check routine
+        every entry point shares: the first fault in label order is raised (a repeated triple before
+        that label's own fields), with one message whichever entry point gave the labels."""
         store = object.__setattr__  # the pairing is read-only once made: see __setattr__
+        table: dict[tuple[str, str, str], str] = {}
         store(self, "structure", structure)
         store(self, "actual", actual)
         store(self, "origin", origin)
@@ -126,20 +118,20 @@ class CounterfactualStructure:
             raise InputError("origin state set must equal the actual states")
         if origin.agents != structure.agents:
             raise InputError("origin and counterfactual structure must share the agent set")
-        if set(names) != state_set - actual:
+        if {name for _, name in labels} != state_set - actual:
             raise InputError("labels must cover exactly the non-actual states")
         agents = set(structure.agents)
         refused = {text for text, event in events.items() if not event or not event <= actual}
-        # the labels before the first repeated triple; that label's own fields are its twin's
-        for (agent, base, text), name in itertools.islice(table.items(), None if dup is None else dup[0]):
+        for key, name in labels:
+            if table.setdefault(key, name) is not name:
+                raise InputError(f"duplicate label triple for {name!r} and {table[key]!r}")
+            agent, base, text = key
             if agent not in agents:
                 raise InputError(f"label for {name!r} names unknown agent {agent!r}")
             if base not in actual:
                 raise InputError(f"label for {name!r} has non-actual base {base!r}")
             if text in refused:
                 raise InputError(f"label for {name!r} has an event outside the actual states")
-        if dup is not None:
-            raise InputError(f"duplicate label triple for {dup[1]!r} and {dup[2]!r}")
         outside = structure._full & ~structure._mask(actual)  # positive: a negative mask widens every &
         for agent in structure.agents:
             for k, row in enumerate(structure._succ[agent]):
@@ -155,7 +147,7 @@ class CounterfactualStructure:
 
     def __reduce__(self):
         # a copy is made through the checked entry point, since slots cannot be set afterwards
-        return self._from_table, (self.structure, self.actual, self.origin, self._by_triple, self._events)
+        return self._from_labels, (self.structure, self.actual, self.origin, [*self._by_triple.items()], self._events)
 
     @property
     def labels(self) -> Mapping[str, CounterfactualLabel]:
@@ -209,7 +201,7 @@ def build_counterfactual(
     own agent sees e from duplicates of states inside e and their original cell
     otherwise, and every other agent sees the cell of the base state. Each row
     is a source cell or domain event mapped once to carrier bit positions, so
-    equal rows share one int. The provenance table is filled block by block.
+    equal rows share one int. The labels are listed block by block.
     The result is deterministic.
     """
     if not source.is_partitional():
@@ -219,7 +211,7 @@ def build_counterfactual(
     states = source.states
     domains = {i: gamma(source, i, max_cells=max_cells) for i in agents}
 
-    table: dict[tuple[str, str, str], str] = {}
+    labels: list[tuple[tuple[str, str, str], str]] = []
     events: dict[str, Event] = {}
     # (agent, event mask, names by base); the originals come first, as a block under no agent
     blocks: list[tuple[str | None, int, Sequence[str]]] = [(None, 0, states)]
@@ -230,10 +222,9 @@ def build_counterfactual(
             events.setdefault(text, event)
             tail = ":" + text
             names = [head + w + tail for w in states]
-            for w, name in zip(states, names):
-                table[i, w, text] = name
+            labels += [((i, w, text), name) for w, name in zip(states, names)]
             blocks.append((i, source._mask(event), names))
-    generated = list(table.values())
+    generated = [name for _, name in labels]
     if len(set(generated)) != len(generated):
         seen: set[str] = set()
         for name in generated:
@@ -259,7 +250,7 @@ def build_counterfactual(
                 succ[j][at] = event_row if j == i and emask >> k & 1 else cells[j][k]
 
     combined = InformationStructure._from_rows(carrier, agents, succ)
-    return CounterfactualStructure._from_table(combined, frozenset(states), source, table, events)
+    return CounterfactualStructure._from_labels(combined, frozenset(states), source, labels, events)
 
 
 @dataclass(frozen=True)
@@ -333,10 +324,12 @@ def verify_counterfactual(
     advisory discrepancy rather than a failure; the successors-only reading is
     the one verified. Every check reads the structure's successor and reach
     masks; a witness is the lowest failing state, which is the first in name
-    order. Four checks are read off what implies them: the constructor's
+    order. Six checks are read off what implies them: the constructor's
     refusal of relations into the duplicates passes ``relations_target_actual``
-    and ``reach_stays_actual``; ``reach_union_identity`` and the advisory
-    ``pairwise_union_realized`` are computed only when a premise fails.
+    and ``reach_stays_actual``, and ``truth_fails_at_duplicates`` whenever
+    duplicates exist; ``reach_union_identity``, the secret-ignorance
+    biconditional and the advisory ``pairwise_union_realized`` are computed
+    only when a premise fails.
     """
     if built.origin != source:
         raise InputError("verification requires the structure the counterfactual was built from")
@@ -481,19 +474,24 @@ def verify_counterfactual(
         "" if gap is None else f"agent {gap[0]}, event {event_string(gap[1])}: {gap[2]}")
 
     # ---- truth fails at every duplicate ---------------------------------------
-    deluded = all(not succ[i][k] >> k & 1 for k in _bits(duplicates) for i in agents)
+    # Read off the constructor: no row meets the duplicates, so no duplicate is
+    # its own successor, and the check passes exactly when duplicates exist.
     t_witness = ""
     if duplicates:
         i0, k0 = agents[0], next(_bits(duplicates))
         belief = event_string(succ[i0][k0])
         t_witness = f"e.g. agent {i0} at {states[k0]} believes {belief} which excludes {states[k0]}"
-    add("truth_fails_at_duplicates", deluded and bool(duplicates), t_witness)
+    add("truth_fails_at_duplicates", bool(duplicates), t_witness)
 
     # ---- secret-ignorance biconditional ----------------------------------------
     # (bel(w) | bel(w') <= E) <=> (bel(lambda) <= E) holds for every event E
     # exactly when the two masks are equal: take E to be each side in turn.
+    # Implied by restriction_matches_source and every_domain_event_realized:
+    # without drift, bel(w) and bel(w') are source cells and w lies in bel(w)
+    # (gamma needs a reflexive source), so their union is a domain event that
+    # contains w, realized at the duplicate based at w. Otherwise it is tested.
     omega = list(_bits(actual))
-    bi_witness = next(
+    bi_witness = None if drift is None and gap is None else next(
         (
             (i, states[w], states[wp])
             for i in agents

@@ -43,9 +43,13 @@ class DecisionFunction:
         if self.kind not in (GAMMA_KIND, FIELD_KIND):
             raise InputError(f"decision kind must be {GAMMA_KIND!r} or {FIELD_KIND!r}, got {self.kind!r}")
         normalized: dict[Event, str] = {}
-        for event, action in self.table.items():
-            validate_token(action, "action")
-            normalized[frozenset(event)] = action
+        try:
+            for event, action in self.table.items():
+                validate_token(action, "action")
+                normalized[frozenset(event)] = action
+        except (AttributeError, TypeError):
+            raise InputError(f"decision table for agent {self.agent!r} must map events to actions, "
+                             f"got {self.table!r}") from None
         self.table = normalized
 
     @classmethod
@@ -268,7 +272,10 @@ def check_stp_field(field: Iterable[Event], df: DecisionFunction) -> ViolationLi
     """
     if df.kind != FIELD_KIND:
         raise InputError(f"expected a field-kind decision function for agent {df.agent!r}")
-    field_set = frozenset(map(frozenset, field))
+    try:
+        field_set = frozenset(map(frozenset, field))
+    except TypeError:
+        raise InputError(f"field must be an iterable of events, got {field!r}") from None
     if not field_set:
         raise InputError("field must contain at least one event")
     if frozenset() in field_set:
@@ -291,7 +298,10 @@ def complete_stp_field(field: Iterable[Event], table: Mapping[Event, str]) -> di
     one raises :class:`InputError`. Searches that visit more than
     ``_FAMILY_NODE_CAP`` nodes in all raise :class:`ResourceLimitError`.
     """
-    field_set = frozenset(map(frozenset, field))
+    try:
+        field_set = frozenset(map(frozenset, field))
+    except TypeError:
+        raise InputError(f"field must be an iterable of events, got {field!r}") from None
     if frozenset() in field_set:
         raise InputError("field events must be non-empty")
     out = {frozenset(e): a for e, a in table.items()}
@@ -360,7 +370,10 @@ def check_like_minded(
     """
     if not dfs:
         raise InputError("need at least one decision function")
-    kinds = {df.kind for df in dfs}
+    try:
+        kinds = {df.kind for df in dfs}
+    except (TypeError, AttributeError):
+        raise InputError("decision family must be an iterable of decision functions") from None
     if len(kinds) > 1:
         raise InputError("cannot mix gamma-kind and field-kind decision functions")
     agents = [df.agent for df in dfs]
@@ -534,7 +547,10 @@ def enumerate_decision_profiles(
 
     if kind != FIELD_KIND:
         raise InputError(f"unknown decision kind {kind!r}")
-    field_set = frozenset(map(frozenset, field if field is not None else powerset_field(structure)))
+    try:
+        field_set = frozenset(map(frozenset, field if field is not None else powerset_field(structure)))
+    except TypeError:
+        raise InputError(f"field must be an iterable of events, got {field!r}") from None
     if not field_set:
         raise InputError("field must contain at least one event")
     domain, masks, universe = _compiled_field(field_set)

@@ -18,9 +18,10 @@ A structure document carries an optional provenance section turning it into a
 counterfactual structure: a content hash of its source document plus one
 label per duplicate state. The labels are re-validated on parse, including
 the hash of the reconstructed source, so hand-edited documents cannot drift
-silently. Both directions go through the counterfactual structure's
-provenance table, (agent, base, event string) -> state, and make no label
-objects.
+silently. The writer reads the counterfactual structure's provenance table,
+(agent, base, event string) -> state; the parser hands the pairing its labels
+as (triple, state) pairs, and the pairing fills its own table. Neither makes
+label objects.
 """
 
 from __future__ import annotations
@@ -213,11 +214,10 @@ def _attach_provenance(structure: InformationStructure, provenance) -> Counterfa
         raise ParseError(f"unknown keys in provenance: {sorted(unknown)}")
     origin_hash = _expect(provenance, "origin_hash", str, "provenance")
     labels_doc = _expect(provenance, "labels", list, "provenance")
-    # one walk: check each entry and fill the provenance table
-    table: dict[tuple[str, str, str], str] = {}
+    # one walk: check each entry and list it as ((agent, base, event string), state)
+    labels: list[tuple[tuple[str, str, str], str]] = []
     events: dict[str, Event] = {}  # one event per distinct string
-    names: dict[str, None] = {}  # every label's state, in entry order
-    dup = None  # (table position, later state, earlier state) of the first repeated triple
+    names: set[str] = set()
     for entry in labels_doc:
         if not isinstance(entry, dict) or entry.keys() != _LABEL_KEYS:
             raise ParseError(f"label entry {entry!r} must have exactly the keys {sorted(_LABEL_KEYS)}")
@@ -227,19 +227,17 @@ def _attach_provenance(structure: InformationStructure, provenance) -> Counterfa
             raise ParseError(f"label entry {entry!r} must map every key to a string")
         if name in names:
             raise ParseError(f"duplicate label for state {name!r}")
-        names[name] = None
+        names.add(name)
         if text not in events:
             try:
                 events[text] = parse_event_string(text)
             except InputError as exc:
                 raise ParseError(f"label for {name!r}: {exc}") from None
-        key = (agent, base, text)
-        if table.setdefault(key, name) is not name and dup is None:
-            dup = (len(table), name, table[key])
+        labels.append(((agent, base, text), name))
 
     state_set = set(structure.states)
-    if not names.keys() <= state_set:
-        name = next(name for name in names if name not in state_set)
+    if not names <= state_set:
+        name = next(name for _, name in labels if name not in state_set)
         raise ParseError(f"label references undeclared state {name!r}")
     actual = sorted(state_set.difference(names))
     for name in actual:
@@ -259,13 +257,11 @@ def _attach_provenance(structure: InformationStructure, provenance) -> Counterfa
     except EpistemicError as exc:
         raise ParseError(str(exc)) from None
     # parse_event_string accepted each event string only in canonical form
-    mismatch = label_block_mismatch(domains, origin.states, table)
+    mismatch = label_block_mismatch(domains, origin.states, (key for key, _ in labels))
     if mismatch is not None:
         raise ParseError(f"labels do not form complete duplicate blocks ({mismatch})")
     try:
-        return CounterfactualStructure._from_table(
-            structure, frozenset(actual), origin, table, events, names, dup
-        )
+        return CounterfactualStructure._from_labels(structure, frozenset(actual), origin, labels, events)
     except InputError as exc:
         raise ParseError(str(exc)) from None
 

@@ -62,6 +62,13 @@ def validate_token(name: str, kind: str, *, allow_plus: bool = True) -> None:
         raise InputError(f"{kind} name {name!r} contains '+', which is reserved for event serialization")
 
 
+def _names(values: Iterable[str], kind: str) -> list[str]:
+    try:
+        return list(values)
+    except TypeError:
+        raise InputError(f"{kind}s must be an iterable of {kind} names, got {values!r}") from None
+
+
 def _bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
@@ -129,8 +136,8 @@ class InformationStructure:
         *,
         allow_plus_in_names: bool = False,
     ):
-        state_list = list(states)
-        agent_list = list(agents)
+        state_list = _names(states, "state")
+        agent_list = _names(agents, "agent")
         if not state_list:
             raise InputError("a structure needs at least one state")
         if not agent_list:
@@ -148,29 +155,32 @@ class InformationStructure:
         agents_t = tuple(sorted(agent_list))
         index = {s: k for k, s in enumerate(states_t)}
 
-        rel_keys = set(relations)
-        declared = set(agents_t)
-        if rel_keys != declared:
-            missing = sorted(declared - rel_keys)
-            extra = sorted(rel_keys - declared)
-            raise InputError(
-                f"relations must be given for exactly the declared agents (missing {missing}, extra {extra})"
-            )
         succ: dict[str, list[int]] = {}
-        for agent in agents_t:
-            masks = [0] * len(states_t)
-            for pair in relations[agent]:
-                try:
-                    src, dst = pair
-                except (TypeError, ValueError):
-                    raise InputError(f"relation entry {pair!r} for agent {agent!r} is not a pair") from None
-                if src not in index:
-                    raise InputError(f"relation for agent {agent!r} references unknown state {src!r}")
-                if dst not in index:
-                    raise InputError(f"relation for agent {agent!r} references unknown state {dst!r}")
-                masks[index[src]] |= 1 << index[dst]
-            shared: dict[int, int] = {}
-            succ[agent] = [shared.setdefault(row, row) for row in masks]  # one int per distinct row
+        try:  # one try around every pair: a TypeError means relations of the wrong shape
+            rel_keys = set(relations)
+            declared = set(agents_t)
+            if rel_keys != declared:
+                missing = sorted(declared - rel_keys)
+                extra = sorted(rel_keys - declared)
+                raise InputError(
+                    f"relations must be given for exactly the declared agents (missing {missing}, extra {extra})"
+                )
+            for agent in agents_t:
+                masks = [0] * len(states_t)
+                for pair in relations[agent]:
+                    try:
+                        src, dst = pair
+                    except (TypeError, ValueError):
+                        raise InputError(f"relation entry {pair!r} for agent {agent!r} is not a pair") from None
+                    if src not in index:
+                        raise InputError(f"relation for agent {agent!r} references unknown state {src!r}")
+                    if dst not in index:
+                        raise InputError(f"relation for agent {agent!r} references unknown state {dst!r}")
+                    masks[index[src]] |= 1 << index[dst]
+                shared: dict[int, int] = {}
+                succ[agent] = [shared.setdefault(row, row) for row in masks]  # one int per distinct row
+        except TypeError:
+            raise InputError("relations must map each agent to an iterable of (from, to) state-name pairs") from None
         self._set_slots(states_t, agents_t, index, succ)
 
     @classmethod
@@ -185,9 +195,22 @@ class InformationStructure:
         structure._set_slots(states, agents, {s: k for k, s in enumerate(states)}, succ)
         return structure
 
+    @classmethod
+    def _from_distinct_rows(cls, states: tuple[str, ...], agents: tuple[str, ...],
+                            rows: dict[str, tuple[list[int], list[int]]]) -> InformationStructure:
+        """A structure from each agent's distinct rows and each state's position among them."""
+        return cls._from_rows(states, agents, {a: [distinct[k] for k in at] for a, (distinct, at) in rows.items()})
+
     def __reduce__(self):
-        # a copy is the parts alone: the index is recomputed on use, and some facts cannot be pickled
-        return self._from_rows, (self.states, self.agents, self._succ)
+        # A copy is the parts alone: the index is recomputed on use, and some facts cannot be
+        # pickled. Pickle does not share equal ints, so each distinct row goes once, and the copy
+        # shares equal rows as this structure does.
+        rows = {}
+        for agent, succ in self._succ.items():
+            at: dict[int, int] = {}  # distinct row -> its position, in first-seen order
+            positions = [at.setdefault(row, len(at)) for row in succ]
+            rows[agent] = (list(at), positions)
+        return self._from_distinct_rows, (self.states, self.agents, rows)
 
     def _set_slots(self, states: tuple[str, ...], agents: tuple[str, ...],
                    index: dict[str, int], succ: dict[str, list[int]]) -> None:
@@ -236,7 +259,7 @@ class InformationStructure:
     def _state_index(self, state: str) -> int:
         try:
             return self._index[state]
-        except KeyError:
+        except (KeyError, TypeError):  # an unhashable value is no state name either
             raise InputError(f"unknown state {state!r}") from None
 
     def _check_agent(self, agent: str) -> str:
@@ -246,8 +269,11 @@ class InformationStructure:
 
     def _mask(self, event: Iterable[str]) -> int:
         m = 0
-        for s in event:
-            m |= 1 << self._state_index(s)
+        try:
+            for s in event:
+                m |= 1 << self._state_index(s)
+        except TypeError:
+            raise InputError(f"an event must be an iterable of state names, got {event!r}") from None
         return m
 
     def _unmask(self, mask: int) -> Event:

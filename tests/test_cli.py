@@ -1,6 +1,9 @@
 """The command-line front end: thin wrappers, exit codes, byte-stable output."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,7 @@ from epistemic import (
     DecisionFunction,
     build_counterfactual,
     gamma,
+    powerset_field,
     serialize_decisions,
     serialize_structure,
 )
@@ -268,3 +272,74 @@ def test_one_parser_serves_every_call(tmp_path, d1, d1_path, capsys):
     assert codes == [1, 1, 0, 1, 2, 0, 0, 0, 0, 0, 2, 2, 2, 0]
     assert fresh[4][2] == "error: family cap must be positive\n"
     assert fresh[11][2].startswith("usage: epistemic search") and "--actions" in fresh[11][2]
+
+
+def field_family(d1, ones=()):
+    """Both agents' one shared field table over the power set: '1' on ``ones``, '0' elsewhere."""
+    table = {e: "1" if e in ones else "0" for e in powerset_field(d1)}
+    return tuple(DecisionFunction(agent=a, kind="field", table=table) for a in d1.agents)
+
+
+_HALVES = (frozenset({"w0", "w1"}), frozenset({"w2", "w3"}))
+_FIELD_STP_BREAKS = """\
+stp: agent a maps {w0, w1} to '0' but their union w0+w1 to '1'
+stp: agent a maps {w0+w1, w2+w3} to '1' but their union w0+w1+w2+w3 to '0'
+stp: agent a maps {w2, w3} to '0' but their union w2+w3 to '1'
+stp: agent b maps {w0, w1} to '0' but their union w0+w1 to '1'
+stp: agent b maps {w0+w1, w2+w3} to '1' but their union w0+w1+w2+w3 to '0'
+stp: agent b maps {w2, w3} to '0' but their union w2+w3 to '1'
+"""
+
+
+def test_check_agreement_text_lists_unmet_hypotheses_and_violations(tmp_path, d1, d1_path, capsys):
+    halves_one = gamma_family(d1, {("a", _HALVES[0]): "1", ("a", _HALVES[1]): "1"})
+    assert main(["check-agreement", d1_path, write_decisions(tmp_path, halves_one)]) == 1
+    assert capsys.readouterr().out == (
+        "mode: theorem2, group: a,b\n"
+        "hypotheses not met (1 violations):\n"
+        "  stp: agent a maps {w0+w1, w2+w3} to '1' but their union w0+w1+w2+w3 to '0'\n"
+        "profiles checked: 2\n"
+        "violation: profile (a->1, b->0) commonly believed at cf:a:w0:w0+w1\n"
+        "agreement: FAIL\n"
+    )
+
+
+def test_check_agreement_on_field_decisions_checks_theorem1(tmp_path, d1, d1_path, capsys):
+    assert main(["check-agreement", d1_path, write_decisions(tmp_path, field_family(d1, _HALVES))]) == 1
+    assert capsys.readouterr().out == (
+        "mode: theorem1, group: a,b\n"
+        "hypotheses not met (6 violations):\n"
+        + "".join("  " + line + "\n" for line in _FIELD_STP_BREAKS.splitlines())
+        + "profiles checked: 4\n"
+        "violation: profile (a->1, b->0) commonly believed at w0\n"
+        "agreement: FAIL\n"
+    )
+    assert main(["check-agreement", d1_path, write_decisions(tmp_path, field_family(d1), "const.json")]) == 0
+    assert capsys.readouterr().out == (
+        "mode: theorem1, group: a,b\nhypotheses: met\nprofiles checked: 1\nagreement: pass\n"
+    )
+
+
+def test_check_stp_on_field_tables(tmp_path, d1, d1_path, capsys):
+    assert main(["check-stp", d1_path, write_decisions(tmp_path, field_family(d1, _HALVES))]) == 1
+    assert capsys.readouterr().out == _FIELD_STP_BREAKS + "sure-thing principle: violated\n"
+    assert main(["check-stp", d1_path, write_decisions(tmp_path, field_family(d1), "const.json")]) == 0
+    assert capsys.readouterr().out == "sure-thing principle: holds\n"
+
+
+def test_python_dash_m_runs_the_cli(tmp_path, d1_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+
+    def run(*argv):
+        done = subprocess.run([sys.executable, "-m", "epistemic", *argv], capture_output=True, text=True,
+                              env=env, timeout=60)
+        return done.returncode, done.stdout, done.stderr
+
+    assert run("validate", d1_path) == (0, (
+        "structure: 4 states, 2 agents\n"
+        "agent a: serial=yes reflexive=yes transitive=yes euclidean=yes\n"
+        "agent b: serial=yes reflexive=yes transitive=yes euclidean=yes\n"
+        "classification: partitional\n"
+    ), "")
+    missing = str(tmp_path / "missing.json")
+    assert run("validate", missing) == (2, "", f"error: cannot read {missing}: No such file or directory\n")

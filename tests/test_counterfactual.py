@@ -674,8 +674,20 @@ def test_derived_checks_are_computed_when_a_premise_fails(d1):
          "every_domain_event_realized", "pairwise_union_realized"),
         (_without(build_counterfactual(d1), "cf:a:w0:w0+w1"),
          "every_domain_event_realized", "pairwise_union_realized"),
+        # the biconditional tests the duplicate based at w for bel(w) | bel(w'), w and w' actual
+        (_rewired(build_counterfactual(d1), "a", {"w0": ["w1"]}),
+         "restriction_matches_source", "secret_ignorance_biconditional"),
+        # every union of a's beliefs at the actual states is still a domain event with its duplicates
+        (_rewired(build_counterfactual(d1), "a", {"w0": ["w0", "w1", "w2", "w3"]}),
+         "restriction_matches_source", "secret_ignorance_biconditional"),
+        (_without(build_counterfactual(d1), "cf:a:w1:w0+w1"),
+         "every_domain_event_realized", "secret_ignorance_biconditional"),
+        # no two of b's three cells make up the whole state set
+        (_without(build_counterfactual(d1), "cf:b:w0:w0+w1+w2+w3"),
+         "every_domain_event_realized", "secret_ignorance_biconditional"),
     ]
     outcomes = {"reach_union_identity": set(), "pairwise_union_realized": set()}
+    outcomes["secret_ignorance_biconditional"] = set()
     for built, premise, derived in cases:
         report = verify_counterfactual(d1, built)
         assert report.checks == reference_verify(d1, built)
@@ -709,6 +721,33 @@ def test_a_valid_build_is_verified_without_reach_masks(d1):
     drifted = _rewired(build_counterfactual(d1), "a", {"w0": ["w1"]})
     assert not verify_counterfactual(d1, drifted).passed
     assert _has_reach_masks(drifted.structure)
+
+
+class _CountedTable(dict):
+    """A provenance table that counts its ``get`` calls."""
+
+    gets = 0
+
+    def get(self, key, default=None):
+        self.gets += 1
+        return super().get(key, default)
+
+
+def test_a_valid_build_is_audited_with_one_lookup_per_realized_duplicate(d1):
+    built = build_counterfactual(d1)
+    table = _CountedTable(built._by_triple)
+    object.__setattr__(built, "_by_triple", table)
+    assert verify_counterfactual(d1, built).passed
+    # every_domain_event_realized looks up each domain event u at every base inside it; the
+    # biconditional and the pairwise unions are read off their premises and look up nothing
+    assert table.gets == sum(len(u) for i in d1.agents for u in gamma(d1, i)) == 24
+
+
+def test_verification_groups_above_the_limit_are_singletons_and_the_whole_group():
+    agents = tuple(f"a{k}" for k in range(10))
+    assert len(_verification_groups(agents[:8])) == 2 ** 8 - 1
+    assert _verification_groups(agents[:9]) == [(a,) for a in agents[:9]] + [agents[:9]]
+    assert _verification_groups(agents) == [(a,) for a in agents] + [agents]
 
 
 # ---------------------------------------------------------------------------
@@ -880,6 +919,16 @@ def test_built_and_parsed_carriers_keep_one_int_per_distinct_row():
     for S in (built.structure, parsed.structure):
         for rows in S._succ.values():
             assert len({id(r) for r in rows}) == len(set(rows)) < len(rows)
+
+
+def test_copied_and_unpickled_carriers_keep_one_int_per_distinct_row():
+    built = build_counterfactual(_chain(12))
+    for copy_of in (copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+        twin = copy_of(built)
+        assert twin == built
+        for agent, rows in twin.structure._succ.items():
+            distinct = len({id(r) for r in rows})
+            assert distinct == len(set(rows)) == len({id(r) for r in built.structure._succ[agent]}) == 63
 
 
 def test_classified_structures_and_their_pairings_copy_and_pickle():

@@ -773,6 +773,21 @@ def test_enumeration_cap(d1):
         list(enumerate_decision_profiles(d1, 3, max_families=100))
 
 
+@pytest.mark.parametrize("like_minded, message", [
+    (True, "8 shared tables exceed the cap of 7"),
+    (False, "8 tables per agent exceed the cap of 7"),
+])
+def test_field_enumeration_caps_one_agent_tables_before_the_families(d1, like_minded, message):
+    field = [ev("w0"), ev("w1"), ev("w0", "w1")]  # 2 ** 3 tables per agent
+    with pytest.raises(ResourceLimitError) as err:
+        next(enumerate_decision_profiles(d1, 2, kind="field", field=field, like_minded=like_minded,
+                                         max_families=7))
+    assert str(err.value) == message
+    if like_minded:  # one shared table per family: at the cap, every table is yielded
+        assert len(list(enumerate_decision_profiles(d1, 2, kind="field", field=field, like_minded=True,
+                                                    max_families=8))) == 8
+
+
 def _chain(n):
     states = [f"s{k:02d}" for k in range(n)]
     return InformationStructure(states, ["a", "b"], {

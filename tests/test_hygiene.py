@@ -65,7 +65,7 @@ def test_new_is_called_only_by_the_two_checked_parts_entry_points():
                 around = [s for s in scopes if s.lineno <= node.lineno <= s.end_lineno]
                 callers.append((path.name, ".".join(s.name for s in sorted(around, key=lambda s: s.lineno))))
     assert sorted(callers) == [
-        ("counterfactual.py", "CounterfactualStructure._from_table"),
+        ("counterfactual.py", "CounterfactualStructure._from_labels"),
         ("decisions.py", "DecisionFunction._built"),
         ("structures.py", "InformationStructure._from_rows"),
     ]

@@ -266,6 +266,22 @@ def test_label_errors_keep_their_messages(tmp_path, capsys, kind, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("kind, message", [
+    ("core not partitional", "the actual-state core of a counterfactual document must be partitional"),
+    ("every state labelled", "provenance labels leave no actual states"),
+])
+def test_parser_refuses_an_empty_or_non_partitional_core(kind, message):
+    doc = json.loads((GOLDEN / "d1_counterfactual.json").read_text("utf-8"))
+    if kind == "core not partitional":  # w0 no longer considers itself possible for a
+        doc["relations"]["a"].remove(["w0", "w0"])
+    else:
+        doc["provenance"]["labels"] += [{"state": w, "agent": "a", "base": w, "event": w}
+                                        for w in ("w0", "w1", "w2", "w3")]
+    with pytest.raises(ParseError) as err:
+        parse_structure(json.dumps(doc))
+    assert str(err.value) == message
+
+
 _INTO_DUPLICATES = """
 import sys
 from epistemic import ParseError, parse_structure

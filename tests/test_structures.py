@@ -9,13 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epistemic import (
+    DecisionFunction,
     InformationStructure,
     InputError,
     RelationFlags,
     canonical_event_string,
+    check_like_minded,
+    check_stp_field,
+    complete_stp_field,
+    enumerate_decision_profiles,
     euclidean_counterexample,
     negative_introspection_counterexample,
     parse_event_string,
+    search_disagreement,
     serialize_structure,
 )
 from epistemic import d1 as make_d1
@@ -383,6 +389,54 @@ def test_name_validation():
         InformationStructure(["w"], ["i"], {"i": [], "j": []})
     with pytest.raises(InputError):
         InformationStructure(["w"], ["i"], {"i": [("w", "v")]})
+
+
+_PAIRS = "relations must map each agent to an iterable of (from, to) state-name pairs"
+_FIELD = "field must be an iterable of events, got 5"
+_FIELD_DF = DecisionFunction("a", "field", {frozenset({"w0"}): "x"})
+
+# (call, message): a wrong-typed argument to a public entry point raises InputError
+WRONG_TYPES = {
+    "relations-of-an-agent-not-iterable": (lambda: InformationStructure(["w0"], ["a"], {"a": 5}), _PAIRS),
+    "relation-target-unhashable": (lambda: InformationStructure(["w0"], ["a"], {"a": [("w0", ["x"])]}), _PAIRS),
+    "relation-source-unhashable": (lambda: InformationStructure(["w0"], ["a"], {"a": [(["x"], "w0")]}), _PAIRS),
+    "relations-as-list-of-names": (lambda: InformationStructure(["w0"], ["a"], ["a"]), _PAIRS),
+    "relations-as-list-of-lists": (lambda: InformationStructure(["w0"], ["a"], [["w0", "w0"]]), _PAIRS),
+    # a list of hashable pairs keeps the message it had
+    "relations-as-list-of-pairs": (
+        lambda: InformationStructure(["w0"], ["a"], [("w0", "w0")]),
+        "relations must be given for exactly the declared agents (missing ['a'], extra [('w0', 'w0')])"),
+    "relation-entry-not-a-pair": (lambda: InformationStructure(["w0"], ["a"], {"a": [5]}),
+                                  "relation entry 5 for agent 'a' is not a pair"),
+    "states-not-iterable": (lambda: InformationStructure(5, ["a"], {"a": []}),
+                            "states must be an iterable of state names, got 5"),
+    "agents-not-iterable": (lambda: InformationStructure(["w0"], 5, {"a": []}),
+                            "agents must be an iterable of agent names, got 5"),
+    "event-not-iterable": (lambda: make_d1().belief("a", 5), "an event must be an iterable of state names, got 5"),
+    "event-member-unhashable": (lambda: make_d1().belief("a", [["w0"]]), "unknown state ['w0']"),
+    "state-unhashable": (lambda: make_d1().possibility_set("a", ["w0"]), "unknown state ['w0']"),
+    "stp-field-not-iterable": (lambda: check_stp_field(5, _FIELD_DF), _FIELD),
+    "completed-field-not-iterable": (lambda: complete_stp_field(5, {}), _FIELD),
+    "decision-table-not-a-mapping": (lambda: DecisionFunction("a", "field", 5),
+                                     "decision table for agent 'a' must map events to actions, got 5"),
+    "decision-event-not-iterable": (lambda: DecisionFunction("a", "field", {5: "x"}),
+                                    "decision table for agent 'a' must map events to actions, got {5: 'x'}"),
+    "enumerated-field-not-iterable": (
+        lambda: next(enumerate_decision_profiles(make_d1(), 2, kind="field", field=5)), _FIELD),
+    "like-minded-family-not-iterable": (lambda: check_like_minded(make_d1(), 5),
+                                        "decision family must be an iterable of decision functions"),
+    "like-minded-family-of-ints": (lambda: check_like_minded(make_d1(), [5]),
+                                   "decision family must be an iterable of decision functions"),
+    "relax-not-iterable": (lambda: search_disagreement(make_d1(), 2, relax=5),
+                           "relax must be an iterable of hypothesis names, got 5"),
+}
+
+
+@pytest.mark.parametrize("call, message", WRONG_TYPES.values(), ids=list(WRONG_TYPES))
+def test_wrong_typed_arguments_raise_input_error(call, message):
+    with pytest.raises(InputError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def _rejected(name, **kwargs):
