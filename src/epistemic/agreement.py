@@ -269,6 +269,10 @@ def search_disagreement(
     bad = relax_set - set(RELAXABLE)
     if bad:
         raise InputError(f"unknown relaxable hypotheses: {sorted(bad)}")
+    try:  # read once: every family is checked for the same group
+        group = None if group is None else tuple(group)
+    except TypeError:
+        raise InputError("agent group must be an iterable of agent names") from None
 
     if isinstance(target, CounterfactualStructure):
         source, built = target.origin, target

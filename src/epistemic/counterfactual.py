@@ -78,11 +78,14 @@ class CounterfactualStructure:
         actual = frozenset(actual)
         pairs: list[tuple[tuple[str, str, str], str]] = []
         events: dict[str, Event] = {}
-        for name, label in labels.items():
-            # an event the checks refuse is keyed as the empty one, which they refuse too
-            text = canonical_event_string(label.event) if label.event and label.event <= actual else ""
-            events.setdefault(text, label.event)
-            pairs.append(((label.agent, label.base, text), name))
+        try:
+            for name, label in labels.items():
+                # an event the checks refuse is keyed as the empty one, which they refuse too
+                text = canonical_event_string(label.event) if label.event and label.event <= actual else ""
+                events.setdefault(text, label.event)
+                pairs.append(((label.agent, label.base, text), name))
+        except (AttributeError, TypeError):
+            raise InputError(f"labels must map state names to counterfactual labels, got {labels!r}") from None
         self._init(structure, actual, origin, pairs, events)
 
     @classmethod
@@ -162,13 +165,15 @@ class CounterfactualStructure:
 
     def counterfactual_state(self, agent: str, base: str, event: Iterable[str]) -> str:
         """The unique duplicate with the given (agent, base, event) label."""
-        key = (agent, base, canonical_event_string(event))
         try:
-            return self._by_triple[key]
-        except KeyError:
+            text = canonical_event_string(event)
+        except TypeError:
+            raise InputError(f"an event must be an iterable of state names, got {event!r}") from None
+        try:
+            return self._by_triple[(agent, base, text)]
+        except (KeyError, TypeError):  # an unhashable agent or base names no duplicate either
             raise NotFoundError(
-                f"no counterfactual state for agent {agent!r}, base {base!r}, "
-                f"event {canonical_event_string(event) or '(empty)'!s}"
+                f"no counterfactual state for agent {agent!r}, base {base!r}, event {text or '(empty)'!s}"
             ) from None
 
     def __eq__(self, other: object) -> bool:
@@ -204,6 +209,8 @@ def build_counterfactual(
     equal rows share one int. The labels are listed block by block.
     The result is deterministic.
     """
+    if not isinstance(source, InformationStructure):
+        raise InputError("counterfactual construction needs an information structure")
     if not source.is_partitional():
         raise PreconditionError("counterfactual construction requires a partitional structure")
 
@@ -331,6 +338,8 @@ def verify_counterfactual(
     biconditional and the advisory ``pairwise_union_realized`` are computed
     only when a premise fails.
     """
+    if not isinstance(built, CounterfactualStructure):
+        raise InputError("verification needs a counterfactual structure")
     if built.origin != source:
         raise InputError("verification requires the structure the counterfactual was built from")
 
@@ -387,22 +396,14 @@ def verify_counterfactual(
         "" if drift is None else "restricting to the actual states does not reproduce the source")
 
     # ---- seriality / transitivity (and belief nesting) ----------------------
-    flags = properties.flags
-    serial_witness = next(
-        ((i, states[k]) for i in agents if not flags[i].serial for k, row in enumerate(succ[i]) if not row),
-        None,
-    )
-    transitive_witness = next(
-        (
-            (i, states[k], states[v])
-            for i in agents
-            if not flags[i].transitive
-            for k, row in enumerate(succ[i])
-            for v in _bits(row)
-            if succ[i][v] & ~row
-        ),
-        None,
-    )
+    # Read from the classification walk, which keeps each agent's first fault.
+    serial_witness = transitive_witness = None
+    for i in agents:
+        empty, nesting, _ = S._first_faults(i)
+        if serial_witness is None and empty is not None:
+            serial_witness = (i, states[empty])
+        if transitive_witness is None and nesting is not None:
+            transitive_witness = (i, states[nesting[0]], states[nesting[1]])
     add("relations_serial", serial_witness is None,
         "" if serial_witness is None else f"agent {serial_witness[0]} has no successor at {serial_witness[1]}")
     add("belief_nesting", transitive_witness is None,
@@ -424,17 +425,13 @@ def verify_counterfactual(
     union_witness = None
     if drift is not None:
         for g in _verification_groups(agents):
-            seen = set()
-            for k, reach in enumerate(S._reach_masks(g)):
-                if reach in seen:
-                    continue
-                seen.add(reach)
+            for reach, at in S._reach_groups(g):
                 for i in g:
                     covered = 0
                     for v in _bits(reach):
                         covered |= succ[i][v]
                     if covered != reach and union_witness is None:
-                        union_witness = (g, states[k], i)
+                        union_witness = (g, first(at), i)
     add("reach_union_identity", union_witness is None,
         "" if union_witness is None
         else f"group {union_witness[0]}, agent {union_witness[2]}, start {union_witness[1]}")
@@ -448,14 +445,8 @@ def verify_counterfactual(
 
     # ---- beliefs land in (and exhaust) the decision domains -------------------
     domain_masks = {i: dict.fromkeys(S._mask(e) for e in domains[i]) for i in agents}  # in domain order
-    stray = None
-    for i in agents:  # each distinct row tested once: equal rows share one int object
-        rows = succ[i]
-        lowest = dict(zip(map(id, reversed(rows)), range(len(rows) - 1, -1, -1)))  # row -> its first state
-        k = min((k for k in lowest.values() if rows[k] not in domain_masks[i]), default=None)
-        if k is not None:
-            stray = (i, states[k], rows[k])
-            break
+    stray = next(((i, first(at), row) for i in agents for row, at in S._rows(i) if row not in domain_masks[i]),
+                 None)
     add("beliefs_in_decision_domain", stray is None,
         "" if stray is None else f"agent {stray[0]} at {stray[1]}: {event_string(stray[2])}")
 
@@ -512,7 +503,7 @@ def verify_counterfactual(
     union_real = stray is None and gap is None or all(
         u and not unrealized(i, first(u), u)
         for i in agents
-        for u in {a | b for a, b in itertools.combinations_with_replacement(set(succ[i]), 2)}
+        for u in {a | b for (a, _), (b, _) in itertools.combinations_with_replacement(S._rows(i), 2)}
     )
     add("pairwise_union_realized", union_real, "exact over all unions of two belief sets",
         advisory=True)

@@ -208,7 +208,10 @@ def check_stp_gamma(structure: InformationStructure, df: DecisionFunction,
     Cells are the atoms of the union closure, so each domain event decomposes
     uniquely and the check is a direct sweep over cell subsets.
     """
-    key = _table_key(structure, df, max_cells)  # raises unless the table covers the domain exactly
+    try:
+        key = _table_key(structure, df, max_cells)  # raises unless the table covers the domain exactly
+    except AttributeError:
+        raise InputError("the Sure-Thing Principle check needs a structure and a decision function") from None
     _, order, _, pairs = _closure(structure, df.agent, max_cells)
     return _stp_violations(df.agent, order, pairs, key[1:])
 
@@ -358,7 +361,7 @@ def complete_stp_field(field: Iterable[Event], table: Mapping[Event, str]) -> di
 
 def check_like_minded(
     structure: InformationStructure | None,
-    dfs: Sequence[DecisionFunction],
+    dfs: Iterable[DecisionFunction],
     *,
     max_cells: int | None = None,
 ) -> ViolationList:
@@ -368,12 +371,13 @@ def check_like_minded(
     union closures (the structure is needed to compute them). For field-kind
     functions the domains coincide, so the tables must be identical.
     """
-    if not dfs:
-        raise InputError("need at least one decision function")
     try:
+        dfs = tuple(dfs or ())  # read once: an iterator is used up by its first pass
         kinds = {df.kind for df in dfs}
     except (TypeError, AttributeError):
         raise InputError("decision family must be an iterable of decision functions") from None
+    if not dfs:
+        raise InputError("need at least one decision function")
     if len(kinds) > 1:
         raise InputError("cannot mix gamma-kind and field-kind decision functions")
     agents = [df.agent for df in dfs]

@@ -65,7 +65,7 @@ def equivalence_class(structure: InformationStructure, agent: str, state: str) -
 def partition(structure: InformationStructure, agent: str) -> tuple[Event, ...]:
     """The agent's distinct equivalence classes, sorted canonically."""
     _require_partitional(structure)
-    return structure._agent_index(agent).cells
+    return structure._agent_index(structure._check_agent(agent)).cells
 
 
 def gamma(
@@ -78,7 +78,11 @@ def gamma(
     instead of truncating. The cap is checked on every call; the closure is
     built once per structure and agent.
     """
-    return _closure(structure, agent, max_cells)[1]
+    try:
+        return _closure(structure, agent, max_cells)[1]
+    except TypeError:  # the fact lookup refuses an unhashable agent; the agent check names it
+        structure._check_agent(agent)
+        raise
 
 
 def _closure(structure: InformationStructure, agent: str, max_cells: int | None) -> tuple:
@@ -122,7 +126,7 @@ def is_possible_belief(structure: InformationStructure, agent: str, event) -> bo
     """
     target = structure._mask(event)
     structure._check_agent(agent)
-    return any(m == target for m in structure._succ[agent])
+    return any(row == target for row, _ in structure._rows(agent))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ import hashlib
 import json
 from json.encoder import encode_basestring
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .counterfactual import CounterfactualStructure, label_block_mismatch
 from .decisions import DecisionFunction
@@ -266,11 +266,17 @@ def _attach_provenance(structure: InformationStructure, provenance) -> Counterfa
         raise ParseError(str(exc)) from None
 
 
-def parse_structure(text: str) -> InformationStructure | CounterfactualStructure:
+def _loads(text: str):
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except TypeError:
+        raise InputError(f"a document must be JSON text, got {text!r}") from None
+
+
+def parse_structure(text: str) -> InformationStructure | CounterfactualStructure:
+    doc = _loads(text)
     return document_to_structure(doc)
 
 
@@ -279,12 +285,13 @@ def parse_structure(text: str) -> InformationStructure | CounterfactualStructure
 # ---------------------------------------------------------------------------
 
 
-def decisions_to_document(dfs: Sequence[DecisionFunction], actions=None) -> dict:
+def decisions_to_document(dfs: Iterable[DecisionFunction], actions=None) -> dict:
+    dfs = sorted(dfs, key=lambda d: d.agent)  # read once: an iterator is used up by its first pass
     names = set(actions or ())
     for df in dfs:
         names.update(df.table.values())
     agents_doc = {}
-    for df in sorted(dfs, key=lambda d: d.agent):
+    for df in dfs:
         if df.agent in agents_doc:
             raise InputError(f"duplicate agent {df.agent!r} in decision family")
         agents_doc[df.agent] = {
@@ -294,15 +301,12 @@ def decisions_to_document(dfs: Sequence[DecisionFunction], actions=None) -> dict
     return {"version": FORMAT_VERSION, "actions": sorted(names), "agents": agents_doc}
 
 
-def serialize_decisions(dfs: Sequence[DecisionFunction], actions=None) -> str:
+def serialize_decisions(dfs: Iterable[DecisionFunction], actions=None) -> str:
     return canonical_json(decisions_to_document(dfs, actions))
 
 
 def parse_decisions(text: str) -> tuple[tuple[DecisionFunction, ...], tuple[str, ...]]:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    doc = _loads(text)
     if not isinstance(doc, dict):
         raise ParseError("decision document must be a JSON object")
     unknown = set(doc) - _DECISION_KEYS

@@ -219,7 +219,7 @@ class InformationStructure:
         self._index = index
         self._full = (1 << len(states)) - 1
         self._succ = succ
-        # The per-structure index: immutable facts keyed by ("report",), ("agent"|"gamma", a),
+        # The per-structure index: immutable facts keyed by ("report",), ("rows"|"agent"|"gamma", a),
         # ("shared", a, b), ("reach", *group) or ("reach_groups", *group), filled on first use.
         self._facts: dict[tuple[str, ...], object] = {}
 
@@ -263,9 +263,12 @@ class InformationStructure:
             raise InputError(f"unknown state {state!r}") from None
 
     def _check_agent(self, agent: str) -> str:
-        if agent not in self._succ:
-            raise InputError(f"unknown agent {agent!r}")
-        return agent
+        try:
+            if agent in self._succ:
+                return agent
+        except TypeError:  # an unhashable value is no agent name either
+            pass
+        raise InputError(f"unknown agent {agent!r}")
 
     def _mask(self, event: Iterable[str]) -> int:
         m = 0
@@ -326,19 +329,23 @@ class InformationStructure:
         return self._memo(("agent", agent), lambda: self._build_agent_index(self._check_agent(agent)))
 
     def _build_agent_index(self, agent: str) -> AgentIndex:
-        grouped = _grouped(self._succ[agent])
+        grouped = self._rows(agent)
         sets = {succ: self._unmask(succ) for succ, _ in grouped}
         return AgentIndex(
             groups=tuple((sets[succ], states, (states & -states).bit_length() - 1) for succ, states in grouped),
             cells=tuple(sorted(sets.values(), key=canonical_event_string)),
         )
 
+    def _rows(self, agent: str) -> tuple[tuple[int, int], ...]:
+        """(row, states that have it) per distinct successor row of the agent, by first state (cached)."""
+        return self._memo(("rows", agent), lambda: _grouped(self._succ[agent]))
+
     def _belief_mask(self, agent: str, emask: int) -> int:
         out = 0
-        inv = ~emask
-        for idx, succ in enumerate(self._succ[agent]):
-            if succ & inv == 0:
-                out |= 1 << idx
+        outside = ~emask
+        for row, states in self._rows(agent):
+            if row & outside == 0:
+                out |= states
         return out
 
     def belief(self, agent: str, event: Iterable[str]) -> Event:
@@ -444,30 +451,39 @@ class InformationStructure:
 
     # -- relation properties -------------------------------------------------
 
-    def _agent_flags(self, agent: str) -> RelationFlags:
-        # Each property but reflexivity depends on the row alone, so each distinct row is tested once.
+    def _agent_flags(self, agent: str) -> tuple[RelationFlags, tuple]:
+        """The agent's flags, and where each row property first fails (see :meth:`_first_faults`).
+        Each property but reflexivity depends on the row alone, so each distinct row is tested once,
+        by first state: the first failing row's lowest state is the lowest failing state."""
         succ = self._succ[agent]
-        rows = _grouped(succ)
-        serial = all(row for row, _ in rows)
+        rows = self._rows(agent)
         reflexive = all(states & ~row == 0 for row, states in rows)
-        transitive = True
-        euclidean = True
-        for row, _ in rows:
-            for j in _bits(row):
-                if succ[j] & ~row:
-                    transitive = False
-                if row & ~succ[j]:
-                    euclidean = False
-            if not (transitive or euclidean):
+        empty = next((next(_bits(states)) for row, states in rows if not row), None)
+        nesting = escape = None
+        for row, states in rows:
+            for u in _bits(row):
+                if nesting is None and succ[u] & ~row:
+                    nesting = (next(_bits(states)), u)
+                if escape is None and row & ~succ[u]:
+                    escape = (next(_bits(states)), u)
+            if nesting and escape:
                 break
-        return RelationFlags(serial, reflexive, transitive, euclidean)
+        return RelationFlags(empty is None, reflexive, nesting is None, escape is None), (empty, nesting, escape)
 
     def relation_properties(self) -> PropertyReport:
         """Seriality, reflexivity, transitivity and euclideanness per agent (computed once)."""
-        return self._memo(("report",), self._classify)
+        return self._memo(("report",), self._classify)[0]
 
-    def _classify(self) -> PropertyReport:
-        flags = {agent: self._agent_flags(agent) for agent in self.agents}
+    def _first_faults(self, agent: str) -> tuple[int | None, tuple[int, int] | None, tuple[int, int] | None]:
+        """Where the agent's row properties first fail, from the classification walk: the lowest
+        state with no successor, then the lowest state w with its lowest successor u such that
+        succ(u) escapes succ(w) (nesting), then such a pair where succ(w) escapes succ(u)
+        (euclideanness), as state positions; None where the property holds."""
+        return self._memo(("report",), self._classify)[1][agent]
+
+    def _classify(self) -> tuple[PropertyReport, Mapping[str, tuple]]:
+        walks = {agent: self._agent_flags(agent) for agent in self.agents}
+        flags = {agent: f for agent, (f, _) in walks.items()}
 
         def every(prop: str) -> bool:
             return all(getattr(f, prop) for f in flags.values())
@@ -480,7 +496,8 @@ class InformationStructure:
             cls = CLASS_KD4
         else:
             cls = CLASS_OTHER
-        return PropertyReport(flags=MappingProxyType(flags), classification=cls)
+        faults = MappingProxyType({agent: first for agent, (_, first) in walks.items()})
+        return PropertyReport(flags=MappingProxyType(flags), classification=cls), faults
 
     def is_partitional(self) -> bool:
         return self.relation_properties().classification == CLASS_PARTITIONAL
@@ -489,8 +506,8 @@ class InformationStructure:
 
     def restricted_to(self, states: Iterable[str]) -> InformationStructure:
         """Substructure on the given states, keeping only relation pairs inside them."""
-        kept = set(states)
-        keep = self._mask(kept)
+        keep = self._mask(_names(states, "state"))
+        kept = self._unmask(keep)
         rels = {agent: self._pairs_in(agent, keep) for agent in self.agents}
         return InformationStructure(kept, self.agents, rels, allow_plus_in_names=any("+" in s for s in kept))
 
@@ -501,13 +518,12 @@ def euclidean_counterexample(
     """First (agent, w, u, v) with w->u and w->v but not u->v, or None."""
     agents = [structure._check_agent(agent)] if agent is not None else list(structure.agents)
     for a in agents:
-        succ = structure._succ[a]
-        for i, si in enumerate(succ):
-            for j in _bits(si):
-                gap = si & ~succ[j]
-                if gap:
-                    v = next(_bits(gap))
-                    return (a, structure.states[i], structure.states[j], structure.states[v])
+        escape = structure._first_faults(a)[2]
+        if escape is not None:
+            w, u = escape
+            succ = structure._succ[a]
+            v = next(_bits(succ[w] & ~succ[u]))
+            return (a, structure.states[w], structure.states[u], structure.states[v])
     return None
 
 

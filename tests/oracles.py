@@ -15,9 +15,12 @@ every completion of every cell assignment, each union's cells found by subset
 tests. The next is the gamma enumeration as it was before like-mindedness
 became a join: the full product of those tables, filtered. Next is
 like-mindedness as it was before it compared positions in the tables' entry
-keys: every shared event looked up in two tables. The last is the counterfactual build as it was before it wrote
+keys: every shared event looked up in two tables. Next is the counterfactual build as it was before it wrote
 successor rows: a set of relation pairs per agent, which the public
-constructor turns into rows.
+constructor turns into rows. The last is the per-state scans that the
+verifier and ``euclidean_counterexample`` ran before they read each agent's
+first faults from the classification walk: the first state with no
+successor, the first nesting failure and the first euclidean counterexample.
 """
 
 import itertools
@@ -376,3 +379,18 @@ def build_counterfactual_reference(
     return CounterfactualStructure(
         structure=combined, actual=source.states, labels=labels, origin=source
     )
+
+
+def first_row_faults_reference(structure: InformationStructure, agent: str) -> tuple:
+    """One agent's first failures of the row properties, scanning every state in name order:
+    the first state w with no successor, the first (w, u) with w->u where some successor of u
+    is no successor of w (nesting), and the first (w, u, v) with w->u and w->v but not u->v
+    (euclideanness); each None where the property holds."""
+    states = structure.states  # in name order
+    ps = {w: structure.possibility_set(agent, w) for w in states}
+    serial = next((w for w in states if not ps[w]), None)
+    nesting = next(((w, u) for w in states for u in sorted(ps[w]) if not ps[u] <= ps[w]), None)
+    euclidean = next(
+        ((w, u, v) for w in states for u in sorted(ps[w]) for v in sorted(ps[w]) if v not in ps[u]), None
+    )
+    return serial, nesting, euclidean

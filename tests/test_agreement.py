@@ -814,7 +814,7 @@ def test_theorem1_search_stores_no_compiled_entry():
     source = make_d1()
     assert search_disagreement(source, 2, mode="theorem1") is None
     assert search_disagreement(source, 2, mode="theorem1", relax=["stp"]) is not None
-    assert _fact_kinds(source) == {"report", "agent", "reach", "reach_groups"}
+    assert _fact_kinds(source) == {"report", "rows", "agent", "reach", "reach_groups"}
     built = build_counterfactual(source)
     assert search_disagreement(built, 2) is None
     assert len(_compiled_keys(built)) == 6 + 50  # the stp tables of a and of b
@@ -826,7 +826,7 @@ def test_index_holds_structure_facts_and_no_compiled_table():
     assert search_disagreement(built, 2) is None
     assert search_disagreement(source, 2, mode="theorem1") is None
     assert verify_counterfactual(source, built).passed
-    expected = {"report", "agent", "gamma", "shared", "reach", "reach_groups"}
+    expected = {"report", "rows", "agent", "gamma", "shared", "reach", "reach_groups"}
     assert _fact_kinds(source) == expected
     assert _fact_kinds(built.structure) == expected - {"gamma", "shared"}
     assert built._compiled  # the compiled tables live on the counterfactual structure, not its carrier

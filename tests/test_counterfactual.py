@@ -25,6 +25,7 @@ from epistemic import (
     check_agreement,
     counterfactual_state_name,
     equivalence_pairs,
+    euclidean_counterexample,
     gamma,
     negative_introspection_counterexample,
     parse_structure,
@@ -36,7 +37,12 @@ from epistemic import d1 as make_d1
 from epistemic.cli import main
 from epistemic.counterfactual import _verification_groups
 from generators import random_belief_structure, random_partitional, random_structure
-from oracles import build_counterfactual_reference, reach_masks_per_state, restricted_to_reference
+from oracles import (
+    build_counterfactual_reference,
+    first_row_faults_reference,
+    reach_masks_per_state,
+    restricted_to_reference,
+)
 from test_acceptance import _verified_corpus
 
 
@@ -631,6 +637,33 @@ def test_mask_verifier_matches_frozenset_reference():
     # The constructor refuses any relation into the duplicates, so no
     # CounterfactualStructure can make these two checks fail.
     assert names - failing == {"relations_target_actual", "reach_stays_actual"}
+
+
+def test_row_witnesses_are_the_first_of_the_per_state_scans():
+    # the builds and damaged copies of test_mask_verifier_matches_frozenset_reference, and its chains
+    rng = random.Random(107)
+    cases = []
+    for k, (S, built, _) in enumerate(_verified_corpus()):
+        cases += [(S, built), (S, _damaged(rng, built, k % 4))]
+    cases.extend((S, build_counterfactual(S)) for S in map(_chain, (4, 6, 8)))
+    failing = {"serial": 0, "nesting": 0}
+    for S, built in cases:
+        carrier = built.structure
+        refs = [(a, first_row_faults_reference(carrier, a)) for a in carrier.agents]
+        serial = next(((a, ref[0]) for a, ref in refs if ref[0]), None)
+        nesting = next(((a, *ref[1]) for a, ref in refs if ref[1]), None)
+        report = verify_counterfactual(S, built)
+        assert report.check("relations_serial").detail == (
+            "" if serial is None else f"agent {serial[0]} has no successor at {serial[1]}")
+        assert report.check("belief_nesting").detail == (
+            "" if nesting is None else f"agent {nesting[0]}: possibility set at {nesting[2]} "
+                                       f"escapes the one at {nesting[1]}")
+        assert euclidean_counterexample(carrier) == next(((a, *ref[2]) for a, ref in refs if ref[2]), None)
+        for a, ref in refs:
+            assert euclidean_counterexample(carrier, a) == (None if ref[2] is None else (a, *ref[2]))
+        failing["serial"] += serial is not None
+        failing["nesting"] += nesting is not None
+    assert min(failing.values()) >= 20
 
 
 def _rewired(built, agent, rows):

@@ -14,6 +14,7 @@ from epistemic import (
     EpistemicError,
     InformationStructure,
     InputError,
+    NotFoundError,
     PreconditionError,
     ResourceLimitError,
     Violation,
@@ -25,6 +26,7 @@ from epistemic import (
     check_stp_field,
     check_stp_gamma,
     complete_stp_field,
+    decisions_to_document,
     enumerate_decision_profiles,
     equivalence_pairs,
     gamma,
@@ -32,6 +34,7 @@ from epistemic import (
     partition,
     powerset_field,
     search_disagreement,
+    serialize_decisions,
     union_of_gammas,
 )
 from epistemic import d1 as make_d1
@@ -936,3 +939,36 @@ def test_decision_function_validation():
         DecisionFunction(agent="a", kind="nope", table={})
     with pytest.raises(InputError):
         DecisionFunction(agent="a", kind="gamma", table={ev("w0"): "bad action"})
+
+
+def test_iterator_arguments_give_what_lists_give(d1, d1_cf):
+    # a gamma family where a plays 1 everywhere and b plays 0: one like-mindedness violation
+    family = [DecisionFunction("a", "gamma", {e: "1" for e in gamma(d1, "a")}),
+              DecisionFunction("b", "gamma", {e: "0" for e in gamma(d1, "b")})]
+    field = list(union_of_gammas(d1))
+    field_df = next(enumerate_decision_profiles(d1, 2, kind="field", field=field))[0]
+    partial = {cell: "x" for cell in partition(d1, "a")}
+    calls = [
+        lambda it: check_like_minded(d1, it(family)),
+        lambda it: check_agreement(d1_cf, it(family), group=it(["a", "b"])),
+        lambda it: check_stp_field(it(field), field_df),
+        lambda it: complete_stp_field(it(field), partial),
+        lambda it: decisions_to_document(it(family), actions=it(["2"])),
+        lambda it: serialize_decisions(it(family)),
+        lambda it: d1_cf.counterfactual_state("a", "w0", it(["w0", "w1"])),
+        lambda it: list(enumerate_decision_profiles(d1, 2, kind="field", field=it(field), stp=True,
+                                                    like_minded=True)),
+    ]
+    for relax in ([], ["stp"], ["like_minded"]):
+        calls.append(lambda it, relax=relax: search_disagreement(d1, 2, relax=it(relax), group=it(["a", "b"])))
+    calls.append(lambda it: search_disagreement(d1, 2, mode="theorem1", field=it(field), relax=it(["stp"]),
+                                                group=it(["b", "a"])))
+    for call in calls:
+        assert call(iter) == call(list)
+    assert len(check_like_minded(d1, iter(family))) == 1
+    assert decisions_to_document(iter(family))["agents"]
+    for relax in (["stp"], ["like_minded"]):
+        assert search_disagreement(d1, 2, relax=relax, group=iter(["a", "b"])) is not None
+    with pytest.raises(NotFoundError) as err:
+        d1_cf.counterfactual_state("a", "w0", iter(["w1", "w9"]))
+    assert str(err.value) == "no counterfactual state for agent 'a', base 'w0', event w1+w9"

@@ -9,7 +9,8 @@ only the entry points that take parts already checked, or that run the
 constructor's own checks, call it. Provenance labels are made in one place,
 from the counterfactual structure's table, when they are first read.
 Each kind of per-structure fact is written by one module, so that one module
-owns how it is built and keyed.
+owns how it is built and keyed, and each agent's successor rows are grouped in
+one place, the ``("rows", agent)`` fact.
 """
 
 import ast
@@ -101,8 +102,23 @@ def test_each_fact_kind_is_written_by_one_module():
                 if getattr(node.value, "attr", None) == "_facts":
                     stores.append(path.stem)
     assert writers == {
-        "report": {"structures"}, "agent": {"structures"}, "reach": {"structures"},
+        "report": {"structures"}, "rows": {"structures"}, "agent": {"structures"}, "reach": {"structures"},
         "reach_groups": {"structures"}, "gamma": {"partitions"}, "shared": {"decisions"},
     }
     assert stores == ["structures"]  # the one store, in InformationStructure._memo
     assert touching == {"structures", "partitions", "decisions"}
+
+
+def test_rows_are_grouped_only_by_the_rows_fact_and_the_reach_classes():
+    callers = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text("utf-8"), filename=str(path))
+        scopes = [n for n in ast.walk(tree) if isinstance(n, (ast.ClassDef, ast.FunctionDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_grouped":
+                around = [s for s in scopes if s.lineno <= node.lineno <= s.end_lineno]
+                callers.append((path.name, ".".join(s.name for s in sorted(around, key=lambda s: s.lineno))))
+    assert sorted(callers) == [
+        ("structures.py", "InformationStructure._reach_groups"),
+        ("structures.py", "InformationStructure._rows"),
+    ]

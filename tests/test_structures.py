@@ -9,20 +9,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epistemic import (
+    CounterfactualStructure,
     DecisionFunction,
     InformationStructure,
     InputError,
     RelationFlags,
+    build_counterfactual,
     canonical_event_string,
     check_like_minded,
     check_stp_field,
+    check_stp_gamma,
     complete_stp_field,
     enumerate_decision_profiles,
     euclidean_counterexample,
+    gamma,
     negative_introspection_counterexample,
     parse_event_string,
+    parse_structure,
     search_disagreement,
     serialize_structure,
+    verify_counterfactual,
 )
 from epistemic import d1 as make_d1
 from epistemic.structures import validate_token
@@ -32,6 +38,7 @@ from generators import (
     random_partitional,
     random_structure,
 )
+from oracles import first_row_faults_reference
 
 
 def mutual_once(S, group, event):
@@ -369,6 +376,24 @@ def test_counterexample_finders_are_sound():
     assert found > 50
 
 
+def test_first_faults_are_the_first_of_the_per_state_scans():
+    rng = random.Random(113)
+    found = {"serial": 0, "nesting": 0, "euclidean": 0}
+    for _ in range(200):
+        S = random_structure(rng)
+        refs = [(a, first_row_faults_reference(S, a)) for a in S.agents]
+        for a, (serial, nesting, euclidean) in refs:
+            empty, first_nesting, _ = S._first_faults(a)
+            assert (None if empty is None else S.states[empty]) == serial
+            assert (None if first_nesting is None else tuple(S.states[k] for k in first_nesting)) == nesting
+            assert euclidean_counterexample(S, a) == (None if euclidean is None else (a, *euclidean))
+            found["serial"] += serial is not None
+            found["nesting"] += nesting is not None
+            found["euclidean"] += euclidean is not None
+        assert euclidean_counterexample(S) == next(((a, *ref[2]) for a, ref in refs if ref[2]), None)
+    assert min(found.values()) >= 50
+
+
 # ---------------------------------------------------------------------------
 # construction validation and event strings
 # ---------------------------------------------------------------------------
@@ -429,6 +454,23 @@ WRONG_TYPES = {
                                    "decision family must be an iterable of decision functions"),
     "relax-not-iterable": (lambda: search_disagreement(make_d1(), 2, relax=5),
                            "relax must be an iterable of hypothesis names, got 5"),
+    "gamma-agent-unhashable": (lambda: gamma(make_d1(), ["a"]), "unknown agent ['a']"),
+    "possibility-agent-unhashable": (lambda: make_d1().possibility_set(["a"], "w0"), "unknown agent ['a']"),
+    "stp-gamma-function-not-a-decision-function": (
+        lambda: check_stp_gamma(make_d1(), 5),
+        "the Sure-Thing Principle check needs a structure and a decision function"),
+    "build-source-not-a-structure": (lambda: build_counterfactual(5),
+                                     "counterfactual construction needs an information structure"),
+    "verified-build-not-a-counterfactual": (lambda: verify_counterfactual(make_d1(), 5),
+                                            "verification needs a counterfactual structure"),
+    "restricted-states-not-iterable": (lambda: make_d1().restricted_to(5),
+                                       "states must be an iterable of state names, got 5"),
+    "parsed-text-not-text": (lambda: parse_structure(5), "a document must be JSON text, got 5"),
+    "counterfactual-event-not-iterable": (
+        lambda: build_counterfactual(make_d1()).counterfactual_state("a", "w0", 5),
+        "an event must be an iterable of state names, got 5"),
+    "labels-not-a-mapping": (lambda: CounterfactualStructure(make_d1(), make_d1().states, 5, make_d1()),
+                             "labels must map state names to counterfactual labels, got 5"),
 }
 
 
