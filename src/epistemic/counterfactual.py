@@ -30,6 +30,8 @@ from .structures import (
     InformationStructure,
     PropertyReport,
     _bits,
+    _names,
+    _require_structure,
     canonical_event_string,
 )
 
@@ -75,7 +77,9 @@ class CounterfactualStructure:
         labels: Mapping[str, CounterfactualLabel],
         origin: InformationStructure,
     ):
-        actual = frozenset(actual)
+        _require_structure(structure)
+        _require_structure(origin, "origin")
+        actual = frozenset(_names(actual, "state"))
         pairs: list[tuple[tuple[str, str, str], str]] = []
         events: dict[str, Event] = {}
         try:

@@ -20,6 +20,7 @@ from .partitions import _closure, gamma
 from .structures import (
     Event,
     InformationStructure,
+    _require_structure,
     canonical_event_string,
     validate_token,
 )
@@ -124,6 +125,7 @@ def normalize_actions(actions) -> tuple[str, ...]:
 
 def powerset_field(structure: InformationStructure) -> tuple[Event, ...]:
     """All non-empty events over the structure's states, the maximal field."""
+    _require_structure(structure)
     states = structure.states
     if len(states) > 16:
         raise ResourceLimitError(f"power-set field over {len(states)} states is too large")
@@ -134,6 +136,7 @@ def powerset_field(structure: InformationStructure) -> tuple[Event, ...]:
 def union_of_gammas(structure: InformationStructure, *, max_cells: int | None = None) -> tuple[Event, ...]:
     """The union of every agent's decision domain; a restricted field that
     reproduces the classic definedness failures."""
+    _require_structure(structure)
     return _compiled_field(frozenset(
         e for agent in structure.agents for e in gamma(structure, agent, max_cells=max_cells)))[0]
 
@@ -219,21 +222,27 @@ def check_stp_gamma(structure: InformationStructure, df: DecisionFunction,
 def _stp_violations(agent: str, events: Sequence[Event], pairs, actions: Sequence[str]) -> ViolationList:
     """The principle's violations of one agent's table, ``actions[p]`` being its action on
     ``events[p]``, in the order of ``pairs``."""
-    return ViolationList(entries=tuple(
-        Violation(kind="stp", agents=(agent,), events=tuple(events[k] for k in members),
-                  union_event=events[union], expected=expected, actual=actual)
-        for members, union, expected, actual in _stp_breaks(pairs, actions)
-    ))
+    pairs = iter(pairs)  # one iterator, so that each search resumes after the last break
+    entries = []
+    while (found := _first_break(pairs, actions)) is not None:
+        members, union = found
+        entries.append(Violation(kind="stp", agents=(agent,), events=tuple(events[k] for k in members),
+                                 union_event=events[union], expected=actions[members[0]], actual=actions[union]))
+    return ViolationList(entries=tuple(entries))
 
 
-def _stp_breaks(pairs, actions: Sequence[str]) -> Iterator[tuple]:
-    """(members, union, their action, the union's action) for every (member positions,
-    union position) pair whose members all take one action and whose union takes another."""
+def _first_break(pairs, actions: Sequence[str]) -> tuple[tuple[int, ...], int] | None:
+    """The first (member positions, union position) pair of ``pairs`` whose members all take
+    one action that the union does not take, or None: the principle's one test.
+
+    A plain function that returns early, not a generator: the field enumeration runs it once
+    per candidate table (984k times in one witness-sweep round).
+    """
     for members, union in pairs:
-        expected = actions[members[0]]
-        actual = actions[union]
-        if actual != expected and all(actions[m] == expected for m in members[1:]):
-            yield members, union, expected, actual
+        first = actions[members[0]]
+        if actions[union] != first and all(actions[m] == first for m in members[1:]):
+            return members, union
+    return None
 
 
 @functools.lru_cache(maxsize=1)  # a search reads one field for every agent of every family
@@ -245,24 +254,36 @@ def _compiled_field(field: frozenset[Event]) -> tuple[tuple[Event, ...], tuple[i
     return events, tuple(sum(1 << index[s] for s in e) for e in events), universe
 
 
+def _disjoint_walk(masks: Sequence[int], labels: Sequence[str] | None = None
+                   ) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(member indices, union mask) for every family of one or more pairwise-disjoint masks,
+    depth first in canonical order: a family, then its extensions by each later index in
+    turn. With ``labels``, only families whose members share one label.
+
+    Callers count the yields against their own caps and stop the walk by raising. From a
+    stack, children pushed in reverse so they pop in index order; a nested function calling
+    itself would hold itself in a closure cell, a reference cycle.
+    """
+    stack: list[tuple[tuple[int, ...], int, int]] = [((), 0, 0)]  # (members, union, start)
+    while stack:
+        chosen, union, start = stack.pop()
+        if chosen:
+            yield chosen, union
+        label = labels[chosen[0]] if chosen and labels is not None else None
+        stack.extend((chosen + (k,), union | masks[k], k + 1) for k in reversed(range(start, len(masks)))
+                     if not masks[k] & union and (label is None or labels[k] == label))
+
+
 @functools.lru_cache(maxsize=1)  # a search checks every agent of every family on one field
 def _disjoint_families(masks: tuple[int, ...], *, node_cap: int = _FAMILY_NODE_CAP):
     """Index tuples of pairwise-disjoint events (size >= 2) whose union is in the field."""
     by_mask = {m: k for k, m in enumerate(masks)}
     out: list[tuple[tuple[int, ...], int]] = []
-    nodes = 0
-    # Depth first from a stack, children pushed in reverse so they pop in index order; a
-    # nested function calling itself would hold itself in a closure cell, a reference cycle.
-    stack: list[tuple[tuple[int, ...], int, int]] = [((), 0, 0)]
-    while stack:
-        chosen, union, start = stack.pop()
-        if len(chosen) >= 2 and union in by_mask:
-            out.append((chosen, by_mask[union]))
-        children = [k for k in range(start, len(masks)) if not masks[k] & union]
-        nodes += len(children)
+    for nodes, (chosen, union) in enumerate(_disjoint_walk(masks), 1):
         if nodes > node_cap:
             raise ResourceLimitError("too many disjoint event families to enumerate")
-        stack.extend((chosen + (k,), union | masks[k], k + 1) for k in reversed(children))
+        if len(chosen) >= 2 and union in by_mask:
+            out.append((chosen, by_mask[union]))
     return tuple(out)
 
 
@@ -273,7 +294,11 @@ def check_stp_field(field: Iterable[Event], df: DecisionFunction) -> ViolationLi
     Exact at every size: every disjoint family is enumerated, and a field with
     too many of them raises :class:`ResourceLimitError` rather than truncating.
     """
-    if df.kind != FIELD_KIND:
+    try:
+        kind = df.kind
+    except AttributeError:
+        raise InputError("the Sure-Thing Principle check needs a field and a decision function") from None
+    if kind != FIELD_KIND:
         raise InputError(f"expected a field-kind decision function for agent {df.agent!r}")
     try:
         field_set = frozenset(map(frozenset, field))
@@ -307,51 +332,40 @@ def complete_stp_field(field: Iterable[Event], table: Mapping[Event, str]) -> di
         raise InputError(f"field must be an iterable of events, got {field!r}") from None
     if frozenset() in field_set:
         raise InputError("field events must be non-empty")
-    out = {frozenset(e): a for e, a in table.items()}
+    try:
+        out = {frozenset(e): a for e, a in table.items()}
+    except (AttributeError, TypeError):
+        raise InputError(f"table must map field events to actions, got {table!r}") from None
     for e in out:
         if e not in field_set:
             raise InputError(f"table event {canonical_event_string(e)} is not in the field")
     events, masks, universe = _compiled_field(field_set)
     by_mask = {m: k for k, m in enumerate(masks)}
     nodes = 0
-
-    def fill(union: int, action: str) -> None:
-        nonlocal changed
-        k = by_mask.get(union)
-        if k is None:
-            event = frozenset(s for b, s in enumerate(universe) if union >> b & 1)
-            raise DomainError(
-                f"the principle forces a decision on {canonical_event_string(event)}, "
-                f"which is outside the field",
-                event=event,
-            )
-        event = events[k]
-        if event not in out:
-            out[event] = action
-            changed = True
-        elif out[event] != action:
-            raise InputError(f"table already violates the principle at {canonical_event_string(event)}")
-
-    changed = True
-    while changed:
-        changed = False
+    while True:
+        size = len(out)
         # Values taken at the start of the round: a union filled in joins the search next round.
-        valued = [(masks[k], out[e]) for k, e in enumerate(events) if e in out]
-        # Depth first in canonical order from a stack, as in _disjoint_families; every node below the
-        # root counts, and every family of two or more is filled in as it is popped.
-        stack: list[tuple[int, int, str | None, int]] = [(0, 0, None, 0)]  # (start, union, action, depth)
-        while stack:
-            start, union, action, depth = stack.pop()
-            if depth:
-                nodes += 1
-                if nodes > _FAMILY_NODE_CAP:
-                    raise ResourceLimitError(f"completion search passed {_FAMILY_NODE_CAP} nodes")
-                if depth >= 2:
-                    fill(union, action)
-            children = [k for k in range(start, len(valued))
-                        if not (valued[k][0] & union or depth and valued[k][1] != action)]
-            stack.extend((k + 1, union | valued[k][0], valued[k][1], depth + 1) for k in reversed(children))
-    return out
+        valued = [k for k, e in enumerate(events) if e in out]
+        labels = [out[events[k]] for k in valued]
+        # Every node of the walk counts, and every family of two or more is filled in as it is reached.
+        for members, union in _disjoint_walk([masks[k] for k in valued], labels):
+            nodes += 1
+            if nodes > _FAMILY_NODE_CAP:
+                raise ResourceLimitError(f"completion search passed {_FAMILY_NODE_CAP} nodes")
+            if len(members) < 2:
+                continue
+            k = by_mask.get(union)
+            if k is None:
+                event = frozenset(s for b, s in enumerate(universe) if union >> b & 1)
+                raise DomainError(
+                    f"the principle forces a decision on {canonical_event_string(event)}, "
+                    f"which is outside the field",
+                    event=event,
+                )
+            if out.setdefault(events[k], labels[members[0]]) != labels[members[0]]:
+                raise InputError(f"table already violates the principle at {canonical_event_string(events[k])}")
+        if len(out) == size:
+            return out
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +399,7 @@ def check_like_minded(
         raise InputError("duplicate agent in decision family")
     kind = kinds.pop()
     if kind == GAMMA_KIND:
-        if structure is None:
+        if not isinstance(structure, InformationStructure):
             raise InputError("gamma-kind like-mindedness needs the underlying structure")
         keys = sorted([_table_key(structure, df, max_cells) for df in dfs])  # by agent, which leads each key
         return ViolationList(entries=_disagreements([key[0] for key in keys], keys, 1, structure, max_cells))
@@ -532,6 +546,10 @@ def enumerate_decision_profiles(
         raise InputError(f"family cap must be an integer, got {max_families!r}")
     if max_families < 1:
         raise InputError("family cap must be positive")
+    _require_structure(structure)
+    # Every agent has a domain event, so it has a table per action at least: refused before the names are built.
+    if isinstance(actions, int) and actions > max_families:
+        raise ResourceLimitError(f"{actions} actions give each agent more than the cap of {max_families} tables")
     acts = normalize_actions(actions)
     agents = structure.agents
     if kind == GAMMA_KIND:
@@ -562,31 +580,18 @@ def enumerate_decision_profiles(
         raise InputError("field events must be non-empty subsets of the state set")
     count_one = len(acts) ** len(domain)
     families_idx = _disjoint_families(masks) if stp else ()
-
-    # Inline, not through _stp_breaks: this runs once per candidate table (984k times
-    # in one witness-sweep round), and the generator made that workload about 5% slower.
-    def respects_stp(combo: tuple[str, ...]) -> bool:
-        for member_idx, union_idx in families_idx:
-            first = combo[member_idx[0]]
-            if combo[union_idx] != first:
-                if all(combo[k] == first for k in member_idx[1:]):
-                    return False
-        return True
-
+    if count_one > max_families:
+        raise ResourceLimitError(f"{count_one} shared tables exceed the cap of {max_families}" if like_minded
+                                 else f"{count_one} tables per agent exceed the cap of {max_families}")
+    combos = itertools.product(acts, repeat=len(domain))
+    if stp:  # the tables in which _first_break finds no break, filtered in C: this runs per candidate
+        combos = itertools.filterfalse(functools.partial(_first_break, families_idx), combos)
     if like_minded:
-        if count_one > max_families:
-            raise ResourceLimitError(f"{count_one} shared tables exceed the cap of {max_families}")
-        for combo in itertools.product(acts, repeat=len(domain)):
-            if stp and not respects_stp(combo):
-                continue
+        for combo in combos:
             table = dict(zip(domain, combo))
             yield tuple(DecisionFunction._built(a, FIELD_KIND, dict(table)) for a in agents)
         return
-    if count_one > max_families:
-        raise ResourceLimitError(
-            f"{count_one} tables per agent exceed the cap of {max_families}"
-        )
-    combos = [c for c in itertools.product(acts, repeat=len(domain)) if not stp or respects_stp(c)]
+    combos = list(combos)
     total = len(combos) ** len(agents)
     if total > max_families:
         raise ResourceLimitError(f"{total} families exceed the cap of {max_families}")

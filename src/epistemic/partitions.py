@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import InputError, PreconditionError, ResourceLimitError
-from .structures import CLASS_PARTITIONAL, Event, InformationStructure, canonical_event_string
+from .structures import CLASS_PARTITIONAL, Event, InformationStructure, _require_structure, canonical_event_string
 
 DEFAULT_MAX_CELLS = 12
 MAX_CELLS_ENV_VAR = "EPISTEMIC_MAX_CELLS"
@@ -42,13 +42,17 @@ def resolve_max_cells(explicit: int | None = None) -> int:
 def equivalence_pairs(cells) -> set[tuple[str, str]]:
     """Relation pairs of the equivalence relation with the given classes."""
     pairs: set[tuple[str, str]] = set()
-    for cell in cells:
-        members = list(cell)
-        pairs.update((u, v) for u in members for v in members)
+    try:
+        for cell in cells:
+            members = list(cell)
+            pairs.update((u, v) for u in members for v in members)
+    except TypeError:
+        raise InputError(f"cells must be an iterable of iterables of state names, got {cells!r}") from None
     return pairs
 
 
 def _require_partitional(structure: InformationStructure) -> None:
+    _require_structure(structure)
     report = structure.relation_properties()
     if report.classification != CLASS_PARTITIONAL:
         raise PreconditionError(
@@ -80,7 +84,8 @@ def gamma(
     """
     try:
         return _closure(structure, agent, max_cells)[1]
-    except TypeError:  # the fact lookup refuses an unhashable agent; the agent check names it
+    except (AttributeError, TypeError):  # a non-structure, or an unhashable agent the fact lookup refuses
+        _require_structure(structure)
         structure._check_agent(agent)
         raise
 

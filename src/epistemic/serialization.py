@@ -286,7 +286,10 @@ def parse_structure(text: str) -> InformationStructure | CounterfactualStructure
 
 
 def decisions_to_document(dfs: Iterable[DecisionFunction], actions=None) -> dict:
-    dfs = sorted(dfs, key=lambda d: d.agent)  # read once: an iterator is used up by its first pass
+    try:
+        dfs = sorted(dfs, key=lambda d: d.agent)  # read once: an iterator is used up by its first pass
+    except (AttributeError, TypeError):
+        raise InputError("decision family must be an iterable of decision functions") from None
     names = set(actions or ())
     for df in dfs:
         names.update(df.table.values())

@@ -69,6 +69,11 @@ def _names(values: Iterable[str], kind: str) -> list[str]:
         raise InputError(f"{kind}s must be an iterable of {kind} names, got {values!r}") from None
 
 
+def _require_structure(value, name: str = "structure") -> None:
+    if not isinstance(value, InformationStructure):
+        raise InputError(f"{name} must be an information structure, got {value!r}")
+
+
 def _bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
@@ -516,6 +521,7 @@ def euclidean_counterexample(
     structure: InformationStructure, agent: str | None = None
 ) -> tuple[str, str, str, str] | None:
     """First (agent, w, u, v) with w->u and w->v but not u->v, or None."""
+    _require_structure(structure)
     agents = [structure._check_agent(agent)] if agent is not None else list(structure.agents)
     for a in agents:
         escape = structure._first_faults(a)[2]

@@ -170,6 +170,12 @@ def test_search_json_and_threads_match(d1_path, capsys):
     assert doc["witness"]["relaxed"] == ["stp"]
 
 
+def test_search_refuses_a_huge_action_count_without_a_traceback(d1_path, capsys):
+    assert main(["search", d1_path, "--actions", "99999999999999999999"]) == 2
+    assert capsys.readouterr().err == (
+        "error: 99999999999999999999 actions give each agent more than the cap of 1000000 tables\n")
+
+
 def test_flaws_report(d1_path, capsys):
     assert main(["flaws", d1_path]) == 0
     out = capsys.readouterr().out
@@ -343,3 +349,14 @@ def test_python_dash_m_runs_the_cli(tmp_path, d1_path):
     ), "")
     missing = str(tmp_path / "missing.json")
     assert run("validate", missing) == (2, "", f"error: cannot read {missing}: No such file or directory\n")
+
+
+def test_cli_digest_manifest_runs_on_d1():
+    tool = Path(__file__).resolve().parent / "cli_digests.py"
+    env = {**os.environ, "PYTHONPATH": str(tool.parent.parent / "src")}
+    done = subprocess.run([sys.executable, str(tool), "--d1"], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = [json.loads(line) for line in done.stdout.splitlines()]
+    assert len(lines) > 50
+    assert {line["exit"] for line in lines} == {0, 1, 2}
+    assert all(len(line["stdout"]) == len(line["stderr"]) == 64 and "$TMP" in line["argv"][1] for line in lines)

@@ -723,6 +723,45 @@ def test_field_enumeration_with_stp_above_six_states():
     assert smart == brute and len(brute) == 32
 
 
+def test_field_stp_filter_matches_an_oracle_that_shares_no_code():
+    """The enumeration's filter against ``stp_field_bruteforce``, which walks every subfamily
+    itself, on the 3-state power set and on random restricted fields of at most 8 events; and
+    ``check_stp_field`` lists its violations in lexicographic order of member positions."""
+    states = ["w0", "w1", "w2", "w3"]
+    S = InformationStructure(states, ["a", "b"], {a: equivalence_pairs([[s] for s in states]) for a in "ab"})
+    subsets = [frozenset(c) for r in range(1, 5) for c in itertools.combinations(states, r)]
+    rng = random.Random(67)
+    power3 = [e for e in subsets if "w3" not in e]
+    cases = [(power3, "01"), (power3, "012")]
+    cases += [(rng.sample(subsets, rng.randint(3, 8)), "01") for _ in range(12)]
+    ordered = 0
+    for field, actions in cases:
+        domain = sorted(field, key=canonical_event_string)
+        smart = [family[0].table for family in enumerate_decision_profiles(
+            S, len(actions), kind="field", field=field, stp=True, like_minded=True)]
+        tables = [dict(zip(domain, combo)) for combo in itertools.product(actions, repeat=len(domain))]
+        assert smart == [table for table in tables if not stp_field_bruteforce(domain, table)]
+        for table in tables[::5]:
+            result = check_stp_field(field, field_df("a", table))
+            positions = [tuple(domain.index(e) for e in v.events) for v in result]
+            assert positions == sorted(positions)
+            assert {(frozenset(v.events), v.union_event) for v in result} == stp_field_bruteforce(domain, table)
+            ordered += len(positions) > 1
+    assert ordered > 50
+
+
+def test_an_action_count_above_the_cap_raises_before_any_name_is_built(d1):
+    for mode in ("theorem2", "theorem1"):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError) as err:
+            search_disagreement(d1, 10**20, mode=mode)
+        assert time.perf_counter() - start < 1.0
+        assert str(err.value) == f"{10**20} actions give each agent more than the cap of 1000000 tables"
+    # a count at the cap takes the per-agent count, and its message, as before
+    with pytest.raises(ResourceLimitError, match="agent 'a' alone admits 27 tables, above the cap of 3"):
+        next(enumerate_decision_profiles(d1, 3, max_families=3))
+
+
 def test_enumeration_is_deterministic(d1):
     first = list(enumerate_decision_profiles(d1, 2, stp=True))
     second = list(enumerate_decision_profiles(d1, 2, stp=True))

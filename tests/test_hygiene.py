@@ -1,5 +1,6 @@
 """Source hygiene: no `assert` invariants, no random sampling, one canonical layout,
-three constructor bypasses, one maker of provenance labels, one writer per index fact.
+three constructor bypasses, one maker of provenance labels, one writer per index fact,
+one Sure-Thing Principle test and one disjoint-family walk.
 
 ``python -O`` strips ``assert`` statements, so a runtime invariant written as
 one silently disappears; every check the library runs is exact, so it has no
@@ -10,7 +11,8 @@ constructor's own checks, call it. Provenance labels are made in one place,
 from the counterfactual structure's table, when they are first read.
 Each kind of per-structure fact is written by one module, so that one module
 owns how it is built and keyed, and each agent's successor rows are grouped in
-one place, the ``("rows", agent)`` fact.
+one place, the ``("rows", agent)`` fact. The principle's per-pair test and the walk
+over disjoint event families are each written once, in ``decisions.py``.
 """
 
 import ast
@@ -122,3 +124,54 @@ def test_rows_are_grouped_only_by_the_rows_fact_and_the_reach_classes():
         ("structures.py", "InformationStructure._reach_groups"),
         ("structures.py", "InformationStructure._rows"),
     ]
+
+
+def _innermost(scopes, node):
+    around = [s for s in scopes if s.lineno <= node.lineno <= s.end_lineno]
+    return max(around, key=lambda s: s.lineno).name if around else "<module>"
+
+
+def _walk_stack_poppers(tree, scopes):
+    """Functions that pop the name a ``while`` loop tests: a depth-first walk from a stack."""
+    poppers = set()
+    for loop in ast.walk(tree):
+        if isinstance(loop, ast.While) and isinstance(loop.test, ast.Name):
+            for node in ast.walk(loop):
+                if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "pop" and not node.args
+                        and getattr(node.func.value, "id", None) == loop.test.id):
+                    poppers.add(_innermost(scopes, node))
+    return poppers
+
+
+def _union_action_comparers(tree, scopes):
+    """Functions that compare, with == or !=, a value read at a union's position (``x[union]``, or a
+    name assigned from one): the Sure-Thing Principle's per-pair test."""
+    def at_union(node):
+        return (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load)
+                and isinstance(node.slice, ast.Name) and "union" in node.slice.id)
+
+    from_union = {(_innermost(scopes, node), target.id) for node in ast.walk(tree)
+                  if isinstance(node, ast.Assign) and at_union(node.value)
+                  for target in node.targets if isinstance(target, ast.Name)}
+    comparers = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and all(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
+            scope = _innermost(scopes, node)
+            for side in (node.left, *node.comparators):
+                if at_union(side) or (isinstance(side, ast.Name) and (scope, side.id) in from_union):
+                    comparers.add(scope)
+    return comparers
+
+
+def test_field_stp_has_one_break_test_and_one_family_walk():
+    """The principle's per-pair test lives only in ``decisions._first_break``, and the one stack walk
+    over disjoint event families is ``decisions._disjoint_walk``, which the field's pairs and
+    ``complete_stp_field`` both read; a third copy of either fails here."""
+    poppers, comparers = {}, {}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text("utf-8"), filename=str(path))
+        scopes = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        poppers[path.name] = _walk_stack_poppers(tree, scopes)
+        comparers[path.name] = _union_action_comparers(tree, scopes)
+    assert poppers["decisions.py"] == {"_disjoint_walk"}
+    assert {name: found for name, found in comparers.items() if found} == {"decisions.py": {"_first_break"}}

@@ -20,14 +20,22 @@ from epistemic import (
     check_stp_field,
     check_stp_gamma,
     complete_stp_field,
+    decisions_to_document,
     enumerate_decision_profiles,
+    equivalence_class,
+    equivalence_pairs,
     euclidean_counterexample,
+    flaw_report,
     gamma,
     negative_introspection_counterexample,
     parse_event_string,
     parse_structure,
+    partition,
+    powerset_field,
     search_disagreement,
+    serialize_decisions,
     serialize_structure,
+    union_of_gammas,
     verify_counterfactual,
 )
 from epistemic import d1 as make_d1
@@ -419,6 +427,8 @@ def test_name_validation():
 _PAIRS = "relations must map each agent to an iterable of (from, to) state-name pairs"
 _FIELD = "field must be an iterable of events, got 5"
 _FIELD_DF = DecisionFunction("a", "field", {frozenset({"w0"}): "x"})
+_STRUCTURE = "structure must be an information structure, got 5"
+_FAMILY = "decision family must be an iterable of decision functions"
 
 # (call, message): a wrong-typed argument to a public entry point raises InputError
 WRONG_TYPES = {
@@ -471,6 +481,33 @@ WRONG_TYPES = {
         "an event must be an iterable of state names, got 5"),
     "labels-not-a-mapping": (lambda: CounterfactualStructure(make_d1(), make_d1().states, 5, make_d1()),
                              "labels must map state names to counterfactual labels, got 5"),
+    "actual-states-not-iterable": (lambda: CounterfactualStructure(make_d1(), 5, {}, make_d1()),
+                                   "states must be an iterable of state names, got 5"),
+    "carrier-not-a-structure": (lambda: CounterfactualStructure(5, make_d1().states, {}, make_d1()), _STRUCTURE),
+    "origin-not-a-structure": (lambda: CounterfactualStructure(make_d1(), make_d1().states, {}, 5),
+                               "origin must be an information structure, got 5"),
+    "stp-field-function-not-a-decision-function": (
+        lambda: check_stp_field([frozenset({"w0"})], 5),
+        "the Sure-Thing Principle check needs a field and a decision function"),
+    "like-minded-structure-not-a-structure": (
+        lambda: check_like_minded(5, next(enumerate_decision_profiles(make_d1(), 2))),
+        "gamma-kind like-mindedness needs the underlying structure"),
+    "completed-table-not-a-mapping": (lambda: complete_stp_field([frozenset({"w0"})], 5),
+                                      "table must map field events to actions, got 5"),
+    "gamma-structure-not-a-structure": (lambda: gamma(5, "a"), _STRUCTURE),
+    "partition-structure-not-a-structure": (lambda: partition(5, "a"), _STRUCTURE),
+    "flaw-report-structure-not-a-structure": (lambda: flaw_report(5, "a"), _STRUCTURE),
+    "equivalence-class-structure-not-a-structure": (lambda: equivalence_class(5, "a", "w0"), _STRUCTURE),
+    "powerset-structure-not-a-structure": (lambda: powerset_field(5), _STRUCTURE),
+    "union-of-gammas-structure-not-a-structure": (lambda: union_of_gammas(5), _STRUCTURE),
+    "enumerated-structure-not-a-structure": (lambda: next(enumerate_decision_profiles(5, 2)), _STRUCTURE),
+    "documented-family-not-iterable": (lambda: decisions_to_document(5), _FAMILY),
+    "documented-family-of-ints": (lambda: decisions_to_document([5]), _FAMILY),
+    "serialized-family-not-iterable": (lambda: serialize_decisions(5), _FAMILY),
+    "equivalence-cells-not-iterable": (lambda: equivalence_pairs(5),
+                                       "cells must be an iterable of iterables of state names, got 5"),
+    "euclidean-structure-not-a-structure": (lambda: euclidean_counterexample(5), _STRUCTURE),
+    "introspection-structure-not-a-structure": (lambda: negative_introspection_counterexample(5), _STRUCTURE),
 }
 
 
