@@ -16,10 +16,14 @@ profiles some class fixes, each commonly believed on those classes' states.
 The hypothesis checks (Sure-Thing Principle and like-mindedness) run first
 and are carried on the verdict; a family that fails them is still checked so
 the resulting violations can be inspected together with the failed hypothesis.
+In theorem2 mode both checks, and each table's action on every reach class of
+the whole agent set, are read off one entry per table, compiled once per
+counterfactual structure.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -35,11 +39,12 @@ from .decisions import (
     check_stp_gamma,
     enumerate_decision_profiles,
     _disagreements,
+    _shared_events,
     _table_key,
     _undecided,
 )
 from .errors import InputError, PreconditionError
-from .partitions import resolve_max_cells
+from .partitions import _closure, resolve_max_cells
 from .structures import Event, InformationStructure
 
 MODE_THEOREM1 = "theorem1"
@@ -101,28 +106,72 @@ class _Compiled:
     stp: tuple[Violation, ...]
     actions: tuple[str, ...]  # the actions in the table, sorted
     masks: tuple[int, ...]  # per action, the carrier states at which the agent takes it
+    shared: tuple[tuple[str, ...], ...]  # per agent, the actions on the events shared with it; () in theorem1
+    picks: tuple[str | None, ...]  # per reach class of all agents, the action taken on all of it, or None
 
 
-def _compile(carrier: InformationStructure, df: DecisionFunction, stp: tuple[Violation, ...] = ()) -> _Compiled:
+def _compile(target, df: DecisionFunction, key: tuple[str, ...] | None = None, cap: int | None = None) -> _Compiled:
+    """One agent's entry: with the table's validated ``key``, a gamma table on a
+    counterfactual structure, read off the key; without, a field table on the caller's
+    structure, whose hypotheses ``check_agreement`` checks on the tables themselves."""
+    agent = df.agent
+    if key is None:
+        carrier, stp, row = target, (), df.table
+    else:
+        source, carrier = target.origin, target.structure
+        stp = check_stp_gamma(source, df, max_cells=cap).entries
+        row = dict(zip(_closure(source, agent, cap)[1], key[1:]))  # the key's action per domain event
     # One OR per possibility set, which the table must cover.
     buckets: dict[str, int] = {}
-    for info, mask, first in carrier._agent_index(df.agent).groups:
-        action = df.table.get(info)
+    for info, mask, first in carrier._agent_index(agent).groups:
+        action = row.get(info)
         if action is None:
-            raise _undecided(df.agent, carrier.states[first], info)
+            raise _undecided(agent, carrier.states[first], info)
         buckets[action] = buckets.get(action, 0) | mask
-    actions = df.actions()
-    return _Compiled(stp, actions, tuple(buckets.get(a, 0) for a in actions))
+    actions = df.actions() if key is None else tuple(sorted(set(key[1:])))
+    masks = tuple([buckets.get(a, 0) for a in actions])
+    shared = []
+    if key is not None:  # read at the ("shared", i, j) positions, i before j in agent order
+        agents = carrier.agents
+        i = agents.index(agent)
+        for j, other in enumerate(agents):
+            if i == j:
+                shared.append(())
+                continue
+            pair, at = ((agent, other), 1) if i < j else ((other, agent), 2)
+            shared.append(tuple([key[1 + fact[at]] for fact in _shared_events(source, *pair, cap)]))
+    return _Compiled(stp, actions, masks, tuple(shared), _picks(carrier._reach_groups(carrier.agents), actions, masks))
 
 
-def _compiled_gamma(target: CounterfactualStructure, df: DecisionFunction,
-                    key: tuple[str, ...], cap: int) -> _Compiled:
-    """The validated gamma table's entry on the counterfactual structure, compiled on first use."""
-    entry = target._compiled.get(key)
-    if entry is None:
-        stp = check_stp_gamma(target.origin, df, max_cells=cap).entries
-        entry = target._compiled[key] = _compile(target.structure, df, stp)
-    return entry
+def _picks(classes: tuple[tuple[int, int], ...], actions: tuple[str, ...],
+           masks: tuple[int, ...]) -> tuple[str | None, ...]:
+    """Per (reach, states) class, the action whose states hold all of the reach, or None. A
+    table's action masks split the carrier, so at most one does."""
+    picks = []
+    for reach, _ in classes:
+        for action, mask in zip(actions, masks):
+            if not reach & ~mask:
+                picks.append(action)
+                break
+        else:
+            picks.append(None)
+    return tuple(picks)
+
+
+def _like_minded(entries: list[_Compiled]) -> bool:
+    """Whether every two agents' entries take the same actions on the events they share."""
+    for j in range(1, len(entries)):
+        row = entries[j].shared
+        for i in range(j):
+            if entries[i].shared[j] != row[i]:
+                return False
+    return True
+
+
+@functools.lru_cache(maxsize=64)  # bounded: one per (mode, group, profile count) met
+def _passed(mode: str, group: tuple[str, ...], profiles: int) -> AgreementVerdict:
+    """The verdict of a family with no violation whose hypotheses hold; frozen, so shared."""
+    return AgreementVerdict(mode, group, profiles, (), _HYPOTHESES_MET)
 
 
 def _normalize_family(
@@ -168,8 +217,14 @@ def check_agreement(
         dfs = _normalize_family(carrier.agents, family, GAMMA_KIND)
         cap = resolve_max_cells(max_cells)
         keys = [_table_key(source, df, cap) for df in dfs]
-        hyp.extend(_disagreements(carrier.agents, keys, 1, source, cap))  # a key's actions start at index 1
-        compiled = [_compiled_gamma(target, df, key, cap) for df, key in zip(dfs, keys)]
+        compiled = []
+        for df, key in zip(dfs, keys):  # each entry compiled on first use; a raise stores nothing
+            entry = target._compiled.get(key)
+            if entry is None:
+                entry = target._compiled[key] = _compile(target, df, key, cap)
+            compiled.append(entry)
+        if not _like_minded(compiled):
+            hyp.extend(_disagreements(carrier.agents, keys, 1, source, cap))  # a key's actions start at index 1
         for entry in compiled:
             hyp.extend(entry.stp)
     elif mode == MODE_THEOREM1:
@@ -191,50 +246,44 @@ def check_agreement(
 
     members = carrier.agents if group is None else carrier._group(group)
     if members == carrier.agents:
-        entries = compiled  # already in agent order
+        entries = compiled  # already in agent order, and their picks are this group's
+        picks = [e.picks for e in entries]
     else:
         by_agent = {df.agent: entry for df, entry in zip(dfs, compiled)}
         entries = [by_agent[a] for a in members]
-    # A class commonly believes a profile's agreement event when its reach lies inside it. Each
-    # member's action masks split the carrier, so a reach lies inside at most one of them per
-    # member. No reach is empty: _compile found every member a decision at every state, and the
-    # empty event is in no decision domain.
-    fixed: dict[tuple[int, ...], int] = {}
-    for reach, states in carrier._reach_groups(members):
-        picked = []
-        for e in entries:  # a loop, not a generator: this runs for every class of every family
-            for k, mask in enumerate(e.masks):
-                if not reach & ~mask:
-                    picked.append(k)
-                    break
-            else:
-                break
-        else:
-            key = tuple(picked)
-            fixed[key] = fixed.get(key, 0) | states
-    violations: list[AgreementViolation] = []
-    for key, cb in sorted(fixed.items()):  # index tuples in sorted order are profiles in product order
-        combo = tuple([e.actions[k] for e, k in zip(entries, key)])
-        if len(set(combo)) == 1:
-            continue
-        agreement = carrier._full
-        for e, k in zip(entries, key):
-            agreement &= e.masks[k]
-        agreement_event = carrier._unmask(agreement)
-        violations.append(
-            AgreementViolation(
-                profile=tuple(zip(members, combo)),
-                witness=carrier.states[(cb & -cb).bit_length() - 1],
-                agreement_event=agreement_event,
-                common_belief_event=carrier._unmask(cb),
-                agreement_event_actual=(
-                    agreement_event & target.actual if mode == MODE_THEOREM2 else None
-                ),
-            )
-        )
+        picks = [_picks(carrier._reach_groups(members), e.actions, e.masks) for e in entries]
     profiles = 1
     for e in entries:  # a loop, not math.prod over a comprehension: this runs for every family
         profiles *= len(e.actions)
+    violations: list[AgreementViolation] = []
+    if picks.count(picks[0]) < len(picks):  # members that pick alike on every class never disagree
+        # A class commonly believes a profile's agreement event when its reach lies inside it. No
+        # reach is empty: _compile found every member a decision at every state, and the empty
+        # event is in no decision domain.
+        fixed: dict[tuple[str, ...], int] = {}
+        for (_, states), profile in zip(carrier._reach_groups(members), zip(*picks)):
+            if None not in profile:
+                fixed[profile] = fixed.get(profile, 0) | states
+        for profile, cb in sorted(fixed.items()):  # each member's actions are sorted, so this is product order
+            if len(set(profile)) == 1:
+                continue
+            agreement = carrier._full
+            for e, action in zip(entries, profile):
+                agreement &= e.masks[e.actions.index(action)]
+            agreement_event = carrier._unmask(agreement)
+            violations.append(
+                AgreementViolation(
+                    profile=tuple(zip(members, profile)),
+                    witness=carrier.states[(cb & -cb).bit_length() - 1],
+                    agreement_event=agreement_event,
+                    common_belief_event=carrier._unmask(cb),
+                    agreement_event_actual=(
+                        agreement_event & target.actual if mode == MODE_THEOREM2 else None
+                    ),
+                )
+            )
+    if not violations and not hyp:
+        return _passed(mode, members, profiles)
     return AgreementVerdict(
         mode=mode,
         group=members,

@@ -340,7 +340,7 @@ def cmd_search(args) -> int:
 
 
 def _actions_arg(raw: str):
-    if raw.isdigit():
+    if raw.isdecimal():  # exactly the digit strings int() reads; "²" is a digit but not decimal
         return int(raw)
     return _comma_list(raw)
 

@@ -145,9 +145,12 @@ def cover(m: Manifest, name: str, S: InformationStructure, rng: random.Random, *
                 m.run("validate", target, *extra)
     if not search:
         return
+    first = S.agents[0]  # a group short of every agent, whose reach classes the entries do not hold
     for setting in SEARCHES:
         m.run("search", doc, "--actions", "2", *setting)
     m.run("search", doc, "--actions", "2", "--relax", "stp", "--json")
+    m.run("search", doc, "--actions", "2", "--group", first)
+    m.run("search", doc, "--actions", "2", "--relax", "stp", "--group", first, "--json")
     if not S.is_partitional():
         return
     for family_name, family in _families(S, rng).items():
@@ -156,6 +159,8 @@ def cover(m: Manifest, name: str, S: InformationStructure, rng: random.Random, *
             for command in ("check-agreement", "check-stp", "check-like-minded"):
                 for extra in ((), ("--json",)):
                     m.run(command, structure, decisions, *extra)
+            for extra in ((), ("--json",)):
+                m.run("check-agreement", structure, decisions, "--group", first, *extra)
 
 
 def run(d1_only: bool, seed: int) -> None:

@@ -17,10 +17,16 @@ became a join: the full product of those tables, filtered. Next is
 like-mindedness as it was before it compared positions in the tables' entry
 keys: every shared event looked up in two tables. Next is the counterfactual build as it was before it wrote
 successor rows: a set of relation pairs per agent, which the public
-constructor turns into rows. The last is the per-state scans that the
+constructor turns into rows. Next is the per-state scans that the
 verifier and ``euclidean_counterexample`` ran before they read each agent's
 first faults from the classification walk: the first state with no
 successor, the first nesting failure and the first euclidean counterexample.
+The last two are ``check_agreement`` as it was before a theorem2 verdict read
+its hypotheses and its classes' picks off entries compiled from each table's
+key: each table compiled by frozenset lookups with the principle from
+``check_stp_gamma``, like-mindedness looked up event by event for every
+family, and every reach class of the group matched against every member's
+action masks.
 """
 
 import itertools
@@ -29,6 +35,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from epistemic import (
+    AgreementVerdict,
+    AgreementViolation,
     CounterfactualLabel,
     CounterfactualStructure,
     DecisionFunction,
@@ -39,7 +47,11 @@ from epistemic import (
     PreconditionError,
     ResourceLimitError,
     Violation,
+    ViolationList,
     canonical_event_string,
+    check_like_minded,
+    check_stp_field,
+    check_stp_gamma,
     counterfactual_state_name,
     gamma,
     normalize_actions,
@@ -394,3 +406,94 @@ def first_row_faults_reference(structure: InformationStructure, agent: str) -> t
         ((w, u, v) for w in states for u in sorted(ps[w]) for v in sorted(ps[w]) if v not in ps[u]), None
     )
     return serial, nesting, euclidean
+
+
+def compile_reference(target, df: DecisionFunction, max_cells: int | None = None):
+    """One agent's ``agreement._Compiled`` entry: on a counterfactual structure for a gamma
+    table, else on the structure itself for a field table. The principle's breaks come from
+    ``check_stp_gamma``, each possibility set's action from the table by frozenset, each
+    shared event's action from the table, and each reach class's pick from the actions at
+    the states of its reach."""
+    from epistemic.agreement import _Compiled
+
+    if isinstance(target, CounterfactualStructure):
+        carrier, source = target.structure, target.origin
+        stp = check_stp_gamma(source, df, max_cells=max_cells).entries
+    else:
+        carrier, source, stp = target, None, ()
+    buckets: dict[str, int] = {}
+    for info, mask, first in carrier._agent_index(df.agent).groups:
+        action = df.table.get(info)
+        if action is None:
+            raise _undecided(df.agent, carrier.states[first], info)
+        buckets[action] = buckets.get(action, 0) | mask
+    actions = df.actions()
+    shared = () if source is None else tuple(
+        () if other == df.agent
+        else tuple(df.table[e] for e in shared_events_reference(source, df.agent, other, max_cells))
+        for other in carrier.agents
+    )
+    picks = []
+    for reach, _ in carrier._reach_groups(carrier.agents):
+        taken = {df.table[carrier.possibility_set(df.agent, s)] for s in carrier._unmask(reach)}
+        picks.append(taken.pop() if len(taken) == 1 else None)
+    return _Compiled(stp, actions, tuple(buckets.get(a, 0) for a in actions), shared, tuple(picks))
+
+
+def check_agreement_reference(target, family: Sequence[DecisionFunction], group: Iterable[str] | None = None,
+                              mode: str = "theorem2", max_cells: int | None = None,
+                              compile_table=compile_reference) -> AgreementVerdict:
+    """The verdict with every table compiled by ``compile_table`` (``compile_reference`` unless a
+    test passes a memo of it), like-mindedness looked up event by event, and each reach class
+    of the group matched against every member's action masks in turn."""
+    dfs = sorted(family, key=lambda d: d.agent)
+    if mode == "theorem2":
+        carrier = target.structure
+        entries = [compile_table(target, df, max_cells) for df in dfs]
+        hyp = list(disagreements_reference(target.origin, dfs, max_cells))
+        for entry in entries:
+            hyp.extend(entry.stp)
+    else:
+        carrier = target
+        hyp = list(check_like_minded(None, dfs))
+        for df in dfs:
+            hyp.extend(check_stp_field(tuple(dfs[0].table), df))
+        entries = [compile_table(target, df, None) for df in dfs]
+    members = carrier.agents if group is None else tuple(sorted(set(group)))
+    by_agent = {df.agent: entry for df, entry in zip(dfs, entries)}
+    entries = [by_agent[a] for a in members]
+    fixed: dict[tuple[int, ...], int] = {}
+    for reach, states in carrier._reach_groups(members):
+        picked = []
+        for e in entries:
+            for k, mask in enumerate(e.masks):
+                if not reach & ~mask:
+                    picked.append(k)
+                    break
+            else:
+                break
+        else:
+            fixed[tuple(picked)] = fixed.get(tuple(picked), 0) | states
+    violations = []
+    for key, cb in sorted(fixed.items()):
+        combo = tuple(e.actions[k] for e, k in zip(entries, key))
+        if len(set(combo)) == 1:
+            continue
+        agreement = carrier._full
+        for e, k in zip(entries, key):
+            agreement &= e.masks[k]
+        agreement_event = carrier._unmask(agreement)
+        violations.append(AgreementViolation(
+            profile=tuple(zip(members, combo)),
+            witness=carrier.states[(cb & -cb).bit_length() - 1],
+            agreement_event=agreement_event,
+            common_belief_event=carrier._unmask(cb),
+            agreement_event_actual=agreement_event & target.actual if mode == "theorem2" else None,
+        ))
+    return AgreementVerdict(
+        mode=mode,
+        group=members,
+        profiles_checked=math.prod(len(e.actions) for e in entries),
+        violations=tuple(violations),
+        hypothesis_violations=ViolationList(entries=tuple(hyp)),
+    )

@@ -38,7 +38,13 @@ from epistemic import (
 from epistemic import d1 as make_d1
 from epistemic import agreement, counterfactual, decisions, partitions, structures
 from generators import random_partitional
-from oracles import ActionAssignment, agreement_event, derive_action_function
+from oracles import (
+    ActionAssignment,
+    agreement_event,
+    check_agreement_reference,
+    compile_reference,
+    derive_action_function,
+)
 
 
 def ev(*names):
@@ -832,6 +838,128 @@ def test_index_holds_structure_facts_and_no_compiled_table():
     assert built._compiled  # the compiled tables live on the counterfactual structure, not its carrier
     for S in (source, built.structure):
         assert not any(isinstance(value, agreement._Compiled) for value in S._facts.values())
+
+
+# ---------------------------------------------------------------------------
+# entries compiled once per table against the per-family references
+# ---------------------------------------------------------------------------
+
+RELAX_SETTINGS = ((), ("stp",), ("like_minded",), ("stp", "like_minded"))
+
+
+def _chain6():
+    states = [f"s{k:02d}" for k in range(6)]
+    return InformationStructure(states, ["a", "b"], {
+        "a": equivalence_pairs([[states[k], states[k + 1]] for k in range(0, 6, 2)]),
+        "b": equivalence_pairs([[states[k], states[(k + 1) % 6]] for k in range(1, 6, 2)]),
+    })
+
+
+def _memo_compile():
+    """compile_reference, once per distinct (agent, table)."""
+    memo = {}
+
+    def compile_table(target, df, max_cells):
+        key = (df.agent, frozenset(df.table.items()))
+        if key not in memo:
+            memo[key] = compile_reference(target, df, max_cells)
+        return memo[key]
+
+    return compile_table
+
+
+def _cross_check(built, families, groups, compile_table):
+    """Every family's verdict for every group equals the reference verdict, with tables
+    compiled by ``compile_table``. Returns what was seen."""
+    carrier = built.structure
+    seen = Counter()
+    for family in families:
+        for group in groups:
+            got = check_agreement(built, family, group=group)
+            assert got == check_agreement_reference(built, family, group, compile_table=compile_table)
+            seen["violations"] += len(got.violations)
+            if got.violations and carrier._reach_groups(got.group) != carrier._reach_groups(carrier.agents):
+                seen["violations on classes no entry holds"] += len(got.violations)
+            seen["met" if got.hypotheses_met else "broken"] += 1
+    return seen
+
+
+def _cross_check_streams(built, actions, one_agent, spread=300):
+    """Under each relax setting: the whole group on every family of the hypotheses' stream,
+    which the search checks, and on about ``spread`` families of each relaxed stream, evenly
+    spaced; one agent and the explicit full group on about ``spread`` families of every stream."""
+    seen = Counter()
+    full = list(reversed(built.structure.agents))
+    compile_table = _memo_compile()
+    for relax in RELAX_SETTINGS:
+        families = list(enumerate_decision_profiles(
+            built.origin, actions, stp="stp" not in relax, like_minded="like_minded" not in relax))
+        spaced = families[::-(-len(families) // spread)]
+        seen += _cross_check(built, spaced if relax else families, [None], compile_table)
+        seen += _cross_check(built, spaced, [[one_agent], full], compile_table)
+    return seen
+
+
+def _every_entry_matches_the_reference(built, actions):
+    """Every table of every agent, checked in a family with the other agents' constant tables,
+    leaves an entry equal to the reference entry. Returns the number of entries."""
+    origin = built.origin
+    acts = [str(k) for k in range(actions)]
+    constant = {a: gamma_df(a, dict.fromkeys(gamma(origin, a), "0")) for a in origin.agents}
+    for agent in origin.agents:
+        domain = gamma(origin, agent)
+        for combo in itertools.product(acts, repeat=len(domain)):
+            df = gamma_df(agent, dict(zip(domain, combo)))
+            check_agreement(built, tuple(df if a == agent else constant[a] for a in origin.agents))
+            assert built._compiled[(agent, *combo)] == compile_reference(built, df)
+    return len(built._compiled)
+
+
+@pytest.mark.parametrize("actions", [1, 2, 3])
+def test_d1_entries_and_verdicts_match_the_references(actions):
+    built = build_counterfactual(make_d1())
+    seen = _cross_check_streams(built, actions, "a")
+    assert seen["met"] and bool(seen["broken"]) == bool(seen["violations"]) == (actions > 1)
+    assert _every_entry_matches_the_reference(built, actions) == actions ** 3 + actions ** 7  # a's and b's tables
+
+
+def test_chain6_entries_and_verdicts_match_the_references():
+    built = build_counterfactual(_chain6())
+    seen = _cross_check_streams(built, 2, "b")
+    assert seen["violations"] and seen["broken"] and seen["met"]
+    assert _every_entry_matches_the_reference(built, 2) == 2 * 2 ** 7
+
+
+def test_seeded_entries_and_verdicts_match_the_references():
+    seen = Counter()
+    for S in _small_structures(seed=157, count=12):
+        built = build_counterfactual(S)
+        # one agent never disagrees with itself; a pair short of every agent can
+        pairs = [[j, i] for i, j in itertools.combinations(S.agents, 2)] if len(S.agents) > 2 else []
+        groups = [None, [S.agents[0]], *pairs, list(reversed(S.agents))]
+        compile_table = _memo_compile()
+        for relax in RELAX_SETTINGS:
+            try:
+                families = list(enumerate_decision_profiles(
+                    S, 2, stp="stp" not in relax, like_minded="like_minded" not in relax, max_families=2500))
+            except ResourceLimitError:
+                continue
+            seen += _cross_check(built, families[::-(-len(families) // 60)], groups, compile_table)
+            seen[f"{len(S.agents)} agents"] += 1
+        for key, entry in built._compiled.items():
+            assert entry == compile_reference(built, gamma_df(key[0], dict(zip(gamma(S, key[0]), key[1:]))))
+    assert seen["2 agents"] and seen["3 agents"] and seen["met"] and seen["violations on classes no entry holds"]
+
+
+def test_damaged_pairing_raises_the_reference_error(d1, d1_cf):
+    built, _ = _undecided_duplicates(d1_cf, "b", ["w1"])
+    for family in _relaxed_families(d1, 300)[::50]:
+        for group in (None, ["a"], ["b", "a"]):
+            with pytest.raises(DomainError) as want:
+                check_agreement_reference(built, family, group)
+            with pytest.raises(DomainError) as got:
+                check_agreement(built, family, group=group)
+            assert str(got.value) == str(want.value) and got.value.event == want.value.event == ev("w1")
 
 
 # ---------------------------------------------------------------------------

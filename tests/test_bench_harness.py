@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -47,3 +48,36 @@ def test_field_searches_match_pinned_sweep_digests(tmp_path, monkeypatch):
             assert workloads.sha256(out.getvalue()) == pinned[key], key
             checked += 1
     assert checked == 36
+
+
+def test_traced_exhaustive_round_meets_the_pinned_counts(tmp_path, monkeypatch):
+    """One traced exhaustive-search round at the default seed, run by the harness's own
+    session and tracer, meets every pin of bench/expected.json: the two search counts
+    (families enumerated and profiles checked) as well as the output digests."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import inputs
+    import run
+    from tracer import Tracer
+
+    from epistemic import cli
+
+    expected = run.load_expected()
+    seed = expected["default_seed"]
+    pins = run.pins_for(expected, "exhaustive-search", seed)
+    files = inputs.write_inputs("exhaustive-search", seed, tmp_path / "inputs")
+    alarm = signal.getsignal(signal.SIGALRM)  # the session's speed log installs its own handler
+    try:
+        session = run.Session(cli, "exhaustive-search", files, tmp_path, pins)
+        session.tracer = Tracer()
+        session.tracer.install()
+        try:
+            rnd = session.one_round()
+        finally:
+            session.tracer.uninstall()
+    finally:
+        signal.signal(signal.SIGALRM, alarm)
+    assert rnd.errors == []
+    assert [v.error for v in rnd.verdicts if v.error] == []
+    assert {name: rnd.counts.get(name) for name in pins["counts"]} == pins["counts"]
+    assert rnd.counts["decisions.families_enumerated"] == 8075
+    assert rnd.counts["agreement.profiles_checked"] == 46427

@@ -176,6 +176,19 @@ def test_search_refuses_a_huge_action_count_without_a_traceback(d1_path, capsys)
         "error: 99999999999999999999 actions give each agent more than the cap of 1000000 tables\n")
 
 
+def test_actions_that_int_cannot_read_are_names(d1_path, capsys):
+    # "²" is a digit that int() refuses, so it names one action, as "-1" does; "٣" is a decimal 3
+    outputs = {}
+    for actions in ("²", "-1", "٣", "3"):
+        code = main(["search", d1_path, "--actions", actions, "--relax", "stp", "--json"])
+        out, err = capsys.readouterr()
+        outputs[actions] = (code, out, err)
+    assert outputs["²"] == outputs["-1"] and outputs["²"][0] == 0 and not outputs["²"][2]
+    assert json.loads(outputs["²"][1]) == {"witness": None}
+    assert outputs["٣"] == outputs["3"]
+    assert outputs["3"][0] == 1 and json.loads(outputs["3"][1])["witness"]["relaxed"] == ["stp"]
+
+
 def test_flaws_report(d1_path, capsys):
     assert main(["flaws", d1_path]) == 0
     out = capsys.readouterr().out
