@@ -18,7 +18,10 @@ and are carried on the verdict; a family that fails them is still checked so
 the resulting violations can be inspected together with the failed hypothesis.
 In theorem2 mode both checks, and each table's action on every reach class of
 the whole agent set, are read off one entry per table, compiled once per
-counterfactual structure.
+counterfactual structure from the table's key through a per-agent plan, also
+built once per structure. A family is read in one pass over its entries, and
+one that breaks nothing, with every member of the whole group picking alike,
+gets the shared passing verdict without the class loop.
 """
 
 from __future__ import annotations
@@ -36,10 +39,10 @@ from .decisions import (
     ViolationList,
     check_like_minded,
     check_stp_field,
-    check_stp_gamma,
     enumerate_decision_profiles,
     _disagreements,
     _shared_events,
+    _stp_violations,
     _table_key,
     _undecided,
 )
@@ -112,35 +115,55 @@ class _Compiled:
 
 def _compile(target, df: DecisionFunction, key: tuple[str, ...] | None = None, cap: int | None = None) -> _Compiled:
     """One agent's entry: with the table's validated ``key``, a gamma table on a
-    counterfactual structure, read off the key; without, a field table on the caller's
-    structure, whose hypotheses ``check_agreement`` checks on the tables themselves."""
+    counterfactual structure, read off the key through the agent's plan; without, a field
+    table on the caller's structure, whose hypotheses ``check_agreement`` checks on the
+    tables themselves."""
     agent = df.agent
     if key is None:
-        carrier, stp, row = target, (), df.table
+        carrier, stp, actions, shared, table = target, (), df.actions(), (), df.table
+        cells = []
+        for info, mask, first in carrier._agent_index(agent).groups:  # the table must cover each
+            action = table.get(info)
+            if action is None:
+                raise _undecided(agent, carrier.states[first], info)
+            cells.append((action, mask))
     else:
-        source, carrier = target.origin, target.structure
-        stp = check_stp_gamma(source, df, max_cells=cap).entries
-        row = dict(zip(_closure(source, agent, cap)[1], key[1:]))  # the key's action per domain event
-    # One OR per possibility set, which the table must cover.
-    buckets: dict[str, int] = {}
-    for info, mask, first in carrier._agent_index(agent).groups:
-        action = row.get(info)
-        if action is None:
-            raise _undecided(agent, carrier.states[first], info)
+        carrier, row = target.structure, key[1:]  # row[p]: the action on the p-th domain event
+        order, pairs, groups, shared_at = _plan(target, agent, cap)
+        stp = _stp_violations(agent, order, pairs, row).entries
+        actions = tuple(sorted(set(row)))
+        shared = tuple([tuple([row[p] for p in at]) for at in shared_at])
+        cells = [(row[p], mask) for p, mask in groups]
+    buckets: dict[str, int] = {}  # one OR per possibility set
+    for action, mask in cells:
         buckets[action] = buckets.get(action, 0) | mask
-    actions = df.actions() if key is None else tuple(sorted(set(key[1:])))
     masks = tuple([buckets.get(a, 0) for a in actions])
-    shared = []
-    if key is not None:  # read at the ("shared", i, j) positions, i before j in agent order
+    return _Compiled(stp, actions, masks, shared, _picks(carrier._reach_groups(carrier.agents), actions, masks))
+
+
+def _plan(target: CounterfactualStructure, agent: str, cap: int) -> tuple:
+    """How the agent's gamma tables are read on this pairing, built on its first compile:
+    the domain order and principle pairs, (domain position, carrier states) per possibility
+    set, and per agent the positions of the events the two share, () for the agent itself.
+    A possibility set outside the domain raises, and no plan is stored."""
+    plan = target._plans.get(agent)
+    if plan is None:
+        source, carrier = target.origin, target.structure
+        _, order, _, pairs = _closure(source, agent, cap)
+        at = {event: p for p, event in enumerate(order)}
+        groups = []
+        for info, mask, first in carrier._agent_index(agent).groups:
+            if info not in at:
+                raise _undecided(agent, carrier.states[first], info)
+            groups.append((at[info], mask))
         agents = carrier.agents
         i = agents.index(agent)
+        shared = []  # read at the ("shared", i, j) positions, i before j in agent order
         for j, other in enumerate(agents):
-            if i == j:
-                shared.append(())
-                continue
-            pair, at = ((agent, other), 1) if i < j else ((other, agent), 2)
-            shared.append(tuple([key[1 + fact[at]] for fact in _shared_events(source, *pair, cap)]))
-    return _Compiled(stp, actions, masks, tuple(shared), _picks(carrier._reach_groups(carrier.agents), actions, masks))
+            pair, side = ((agent, other), 1) if i < j else ((other, agent), 2)
+            shared.append(() if i == j else tuple([fact[side] for fact in _shared_events(source, *pair, cap)]))
+        plan = target._plans[agent] = (order, pairs, tuple(groups), tuple(shared))
+    return plan
 
 
 def _picks(classes: tuple[tuple[int, int], ...], actions: tuple[str, ...],
@@ -216,14 +239,24 @@ def check_agreement(
         carrier = target.structure
         dfs = _normalize_family(carrier.agents, family, GAMMA_KIND)
         cap = resolve_max_cells(max_cells)
-        keys = [_table_key(source, df, cap) for df in dfs]
+        keys = [_table_key(source, df, cap) for df in dfs]  # every table validated before any compile
+        store = target._compiled
         compiled = []
+        profiles = 1
+        clean = True  # no entry breaks the principle, and every entry picks as the first does
         for df, key in zip(dfs, keys):  # each entry compiled on first use; a raise stores nothing
-            entry = target._compiled.get(key)
+            entry = store.get(key)
             if entry is None:
-                entry = target._compiled[key] = _compile(target, df, key, cap)
+                entry = store[key] = _compile(target, df, key, cap)
             compiled.append(entry)
-        if not _like_minded(compiled):
+            profiles *= len(entry.actions)
+            if entry.stp or entry.picks != compiled[0].picks:
+                clean = False
+        members = carrier.agents if group is None else carrier._group(group)
+        like_minded = _like_minded(compiled)
+        if clean and like_minded and members == carrier.agents:  # nothing to report: one shared verdict
+            return _passed(mode, members, profiles)
+        if not like_minded:
             hyp.extend(_disagreements(carrier.agents, keys, 1, source, cap))  # a key's actions start at index 1
         for entry in compiled:
             hyp.extend(entry.stp)
@@ -241,10 +274,10 @@ def check_agreement(
         # Not stored: this is the caller's own structure, where entries would outlive the
         # search, and a like-minded theorem1 stream yields a new shared table for every family.
         compiled = [_compile(carrier, df) for df in dfs]
+        members = carrier.agents if group is None else carrier._group(group)
     else:
         raise InputError(f"unknown mode {mode!r}")
 
-    members = carrier.agents if group is None else carrier._group(group)
     if members == carrier.agents:
         entries = compiled  # already in agent order, and their picks are this group's
         picks = [e.picks for e in entries]

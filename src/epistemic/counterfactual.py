@@ -68,7 +68,7 @@ class CounterfactualStructure:
     :func:`verify_counterfactual`.
     """
 
-    __slots__ = ("structure", "actual", "origin", "_by_triple", "_events", "_labels", "_compiled")
+    __slots__ = ("structure", "actual", "origin", "_by_triple", "_events", "_labels", "_compiled", "_plans")
 
     def __init__(
         self,
@@ -114,9 +114,11 @@ class CounterfactualStructure:
         store(self, "_by_triple", table)
         store(self, "_events", events)
         store(self, "_labels", None)
-        # check_agreement's compiled gamma tables, keyed by decisions._table_key: they read the
-        # carrier's states and the origin's decision domains, so they belong to this pairing.
+        # check_agreement's compiled gamma tables, keyed by decisions._table_key, and the per-agent
+        # plans they are read with: both read the carrier's states and the origin's decision
+        # domains, so they belong to this pairing.
         store(self, "_compiled", {})
+        store(self, "_plans", {})
 
         state_set = set(structure.states)
         if not actual <= state_set:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import ClassVar, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError, InputError, ResourceLimitError
@@ -106,9 +107,14 @@ class ViolationList:
         return bool(self.entries)
 
 
+def _is_count(value) -> bool:
+    """Whether a value is an integer count: a bool is an int to Python, but not a count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def normalize_actions(actions) -> tuple[str, ...]:
     """Accept an action count or explicit names; return them sorted."""
-    if isinstance(actions, int):
+    if _is_count(actions):
         if actions < 1:
             raise InputError("need at least one action")
         return tuple(str(k) for k in range(actions))
@@ -171,7 +177,8 @@ def _table_key(structure: InformationStructure, df: DecisionFunction,
     table = df.table
     if len(table) == len(order):
         try:
-            return (df.agent, *map(table.__getitem__, order))
+            actions = itemgetter(*order)(table)  # in C; of one key it returns the action itself
+            return (df.agent, *actions) if len(order) > 1 else (df.agent, actions)
         except KeyError:
             pass
     _validate_gamma_domain(structure, df, max_cells=max_cells)
@@ -457,15 +464,9 @@ def _gamma_tables(
     every union of mixed-action cells; the union of same-action cells takes their action.
     """
     cells, domain, _, pairs = _closure(structure, agent, max_cells)
+    _check_table_count(structure, agent, len(acts), stp, max_families, max_cells)
     if not stp:
-        count = len(acts) ** len(domain)
-        if count > max_families:
-            raise ResourceLimitError(
-                f"agent {agent!r} alone admits {count} tables, above the cap of {max_families}"
-            )
         return [dict(zip(domain, combo)) for combo in itertools.product(acts, repeat=len(domain))]
-    if len(acts) ** len(cells) > max_families:
-        raise ResourceLimitError(f"too many cell assignments for agent {agent!r}")
     rows: list[tuple[str, ...]] = []
     row: list[str] = [""] * len(domain)
     for cell_combo in itertools.product(acts, repeat=len(cells)):
@@ -486,6 +487,20 @@ def _gamma_tables(
             rows.append(tuple(row))
     rows.sort()
     return [dict(zip(domain, r)) for r in rows]
+
+
+def _check_table_count(structure: InformationStructure, agent: str, count: int, stp: bool,
+                       max_families: int, max_cells: int | None) -> None:
+    """Raise unless ``count`` actions give the agent at most ``max_families`` tables before the
+    principle's unions are chosen: ``count`` per cell under it, per domain event without it.
+    Read from the count alone, so it runs before any action name is built."""
+    cells, domain, _, _ = _closure(structure, agent, max_cells)
+    if not stp:
+        tables = count ** len(domain)
+        if tables > max_families:
+            raise ResourceLimitError(f"agent {agent!r} alone admits {tables} tables, above the cap of {max_families}")
+    elif count ** len(cells) > max_families:
+        raise ResourceLimitError(f"too many cell assignments for agent {agent!r}")
 
 
 def _join_steps(structure: InformationStructure, agents: tuple[str, ...],
@@ -542,17 +557,22 @@ def enumerate_decision_profiles(
     unconstrained stream would produce. A cap bounds the work; exceeding it
     raises :class:`ResourceLimitError` rather than truncating silently.
     """
-    if not isinstance(max_families, int):
+    if not _is_count(max_families):
         raise InputError(f"family cap must be an integer, got {max_families!r}")
     if max_families < 1:
         raise InputError("family cap must be positive")
     _require_structure(structure)
-    # Every agent has a domain event, so it has a table per action at least: refused before the names are built.
-    if isinstance(actions, int) and actions > max_families:
-        raise ResourceLimitError(f"{actions} actions give each agent more than the cap of {max_families} tables")
-    acts = normalize_actions(actions)
+    # A count's names are built only once every table count it implies is within the cap.
+    acts = None if _is_count(actions) and actions >= 1 else normalize_actions(actions)
+    count = actions if acts is None else len(acts)
+    # Every agent has a domain event, so it has a table per action at least.
+    if acts is None and count > max_families:
+        raise ResourceLimitError(f"{count} actions give each agent more than the cap of {max_families} tables")
     agents = structure.agents
     if kind == GAMMA_KIND:
+        for a in agents:
+            _check_table_count(structure, a, count, stp, max_families, max_cells)
+        acts = acts or normalize_actions(actions)
         per_agent = [
             _gamma_tables(structure, a, acts, stp, max_families, max_cells) for a in agents
         ]
@@ -578,11 +598,12 @@ def enumerate_decision_profiles(
     domain, masks, universe = _compiled_field(field_set)
     if frozenset() in field_set or not set(universe) <= set(structure.states):
         raise InputError("field events must be non-empty subsets of the state set")
-    count_one = len(acts) ** len(domain)
+    count_one = count ** len(domain)
     families_idx = _disjoint_families(masks) if stp else ()
     if count_one > max_families:
         raise ResourceLimitError(f"{count_one} shared tables exceed the cap of {max_families}" if like_minded
                                  else f"{count_one} tables per agent exceed the cap of {max_families}")
+    acts = acts or normalize_actions(actions)
     combos = itertools.product(acts, repeat=len(domain))
     if stp:  # the tables in which _first_break finds no break, filtered in C: this runs per candidate
         combos = itertools.filterfalse(functools.partial(_first_break, families_idx), combos)

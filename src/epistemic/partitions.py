@@ -22,7 +22,7 @@ MAX_CELLS_ENV_VAR = "EPISTEMIC_MAX_CELLS"
 def resolve_max_cells(explicit: int | None = None) -> int:
     """Cell cap for union-closure blowup: explicit arg, else env var, else default."""
     if explicit is not None:
-        if not isinstance(explicit, int):
+        if not isinstance(explicit, int) or isinstance(explicit, bool):  # True is an int, not a cap
             raise InputError(f"cell cap must be an integer, got {explicit!r}")
         if explicit < 1:
             raise InputError("cell cap must be positive")

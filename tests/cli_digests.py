@@ -130,6 +130,29 @@ def _families(S: InformationStructure, rng: random.Random) -> dict[str, tuple[De
     return out
 
 
+def _malformed(S: InformationStructure) -> dict[str, tuple[DecisionFunction, ...]]:
+    """Gamma families that the theorem2 check refuses, each built from the constant tables:
+    the last agent's table short of its first domain event, the first agent's table with one
+    event off its domain (where the agent has one), the last agent's table as a field table,
+    and, with two or more agents, the family without its last agent."""
+    tables = {a: {e: "0" for e in gamma(S, a)} for a in S.agents}
+    first, last = S.agents[0], S.agents[-1]
+
+    def family(changed: DecisionFunction | None = None) -> tuple[DecisionFunction, ...]:
+        """The constant family, with ``changed`` in place of its agent's table."""
+        return tuple(changed if changed and changed.agent == a else DecisionFunction(a, "gamma", tables[a])
+                     for a in S.agents)
+
+    out = {"missing_event": family(DecisionFunction(last, "gamma", dict(list(tables[last].items())[1:]))),
+           "mixed_kinds": family(DecisionFunction(last, "field", tables[last]))}
+    outside = next((e for e in powerset_field(S) if e not in tables[first]), None)
+    if outside is not None:
+        out["extra_event"] = family(DecisionFunction(first, "gamma", {**tables[first], outside: "1"}))
+    if len(S.agents) > 1:
+        out["missing_agent"] = family()[:-1]
+    return out
+
+
 def cover(m: Manifest, name: str, S: InformationStructure, rng: random.Random, *, search: bool) -> None:
     doc = m.write(f"{name}.json", serialize_structure(S))
     for extra in ((), ("--json",)):
@@ -161,6 +184,10 @@ def cover(m: Manifest, name: str, S: InformationStructure, rng: random.Random, *
                     m.run(command, structure, decisions, *extra)
             for extra in ((), ("--json",)):
                 m.run("check-agreement", structure, decisions, "--group", first, *extra)
+    for family_name, family in _malformed(S).items():  # raised in the theorem2 check's order
+        decisions = m.write(f"{name}.{family_name}.decisions.json", serialize_decisions(family))
+        for extra in ((), ("--json",)):
+            m.run("check-agreement", built, decisions, *extra)
 
 
 def run(d1_only: bool, seed: int) -> None:

@@ -445,16 +445,25 @@ def check_agreement_reference(target, family: Sequence[DecisionFunction], group:
                               compile_table=compile_reference) -> AgreementVerdict:
     """The verdict with every table compiled by ``compile_table`` (``compile_reference`` unless a
     test passes a memo of it), like-mindedness looked up event by event, and each reach class
-    of the group matched against every member's action masks in turn."""
+    of the group matched against every member's action masks in turn. A malformed family
+    raises what the public check raises: one function per agent, then each function's kind,
+    then in theorem2 mode each table's domain, every table before any is compiled."""
     dfs = sorted(family, key=lambda d: d.agent)
+    carrier = target.structure if mode == "theorem2" else target
+    kind = GAMMA_KIND if mode == "theorem2" else "field"
+    if [df.agent for df in dfs] != list(carrier.agents):
+        raise InputError("decision family must contain exactly one function per agent")
+    for df in dfs:
+        if df.kind != kind:
+            raise InputError(f"mode expects {kind}-kind decision functions, agent {df.agent!r} differs")
     if mode == "theorem2":
-        carrier = target.structure
+        for df in dfs:
+            _validate_gamma_domain(target.origin, df, max_cells=max_cells)
         entries = [compile_table(target, df, max_cells) for df in dfs]
         hyp = list(disagreements_reference(target.origin, dfs, max_cells))
         for entry in entries:
             hyp.extend(entry.stp)
     else:
-        carrier = target
         hyp = list(check_like_minded(None, dfs))
         for df in dfs:
             hyp.extend(check_stp_field(tuple(dfs[0].table), df))

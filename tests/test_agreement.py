@@ -18,6 +18,7 @@ from epistemic import (
     CounterfactualStructure,
     DecisionFunction,
     DomainError,
+    EpistemicError,
     InformationStructure,
     InputError,
     ResourceLimitError,
@@ -506,13 +507,12 @@ def test_search_reads_hypothesis_facts_from_the_index(monkeypatch):
         return wrapper
 
     # rebind every module-level name the library calls these through
-    for name in ("gamma", "resolve_max_cells"):
-        wrapped = counting(name, getattr(partitions, name))
+    for owner, name in ((partitions, "gamma"), (partitions, "resolve_max_cells"), (decisions, "check_stp_gamma")):
+        wrapped = counting(name, getattr(owner, name))
         for module in (partitions, decisions, counterfactual, agreement):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, wrapped)
-    for name in ("check_agreement", "check_stp_gamma"):
-        monkeypatch.setattr(agreement, name, counting(name, getattr(agreement, name)))
+    monkeypatch.setattr(agreement, "check_agreement", counting("check_agreement", agreement.check_agreement))
     memo = structures.InformationStructure._memo
     compile_gamma = agreement._compile
     compiled = Counter()
@@ -548,7 +548,7 @@ def test_search_reads_hypothesis_facts_from_the_index(monkeypatch):
     }
     assert set(compiled) == distinct_tables and len(distinct_tables) == 996
     assert set(compiled.values()) == {1}
-    assert calls["check_stp_gamma"] == 996
+    assert calls["check_stp_gamma"] == 0  # each entry reads the principle off its key
 
 
 def test_search_passes_its_cell_cap_to_every_check(monkeypatch):
@@ -872,11 +872,12 @@ def _cross_check(built, families, groups, compile_table):
     """Every family's verdict for every group equals the reference verdict, with tables
     compiled by ``compile_table``. Returns what was seen."""
     carrier = built.structure
+    cap = partitions.resolve_max_cells()  # the default the public check resolves, read once for the reference
     seen = Counter()
     for family in families:
         for group in groups:
             got = check_agreement(built, family, group=group)
-            assert got == check_agreement_reference(built, family, group, compile_table=compile_table)
+            assert got == check_agreement_reference(built, family, group, max_cells=cap, compile_table=compile_table)
             seen["violations"] += len(got.violations)
             if got.violations and carrier._reach_groups(got.group) != carrier._reach_groups(carrier.agents):
                 seen["violations on classes no entry holds"] += len(got.violations)
@@ -885,18 +886,16 @@ def _cross_check(built, families, groups, compile_table):
 
 
 def _cross_check_streams(built, actions, one_agent, spread=300):
-    """Under each relax setting: the whole group on every family of the hypotheses' stream,
-    which the search checks, and on about ``spread`` families of each relaxed stream, evenly
-    spaced; one agent and the explicit full group on about ``spread`` families of every stream."""
+    """Under each relax setting: the whole group on every family of the stream, and one agent
+    and the explicit full group on about ``spread`` families of it, evenly spaced."""
     seen = Counter()
     full = list(reversed(built.structure.agents))
     compile_table = _memo_compile()
     for relax in RELAX_SETTINGS:
         families = list(enumerate_decision_profiles(
             built.origin, actions, stp="stp" not in relax, like_minded="like_minded" not in relax))
-        spaced = families[::-(-len(families) // spread)]
-        seen += _cross_check(built, spaced if relax else families, [None], compile_table)
-        seen += _cross_check(built, spaced, [[one_agent], full], compile_table)
+        seen += _cross_check(built, families, [None], compile_table)
+        seen += _cross_check(built, families[::-(-len(families) // spread)], [[one_agent], full], compile_table)
     return seen
 
 
@@ -944,7 +943,8 @@ def test_seeded_entries_and_verdicts_match_the_references():
                     S, 2, stp="stp" not in relax, like_minded="like_minded" not in relax, max_families=2500))
             except ResourceLimitError:
                 continue
-            seen += _cross_check(built, families[::-(-len(families) // 60)], groups, compile_table)
+            seen += _cross_check(built, families, [None], compile_table)
+            seen += _cross_check(built, families[::-(-len(families) // 60)], groups[1:], compile_table)
             seen[f"{len(S.agents)} agents"] += 1
         for key, entry in built._compiled.items():
             assert entry == compile_reference(built, gamma_df(key[0], dict(zip(gamma(S, key[0]), key[1:]))))
@@ -960,6 +960,51 @@ def test_damaged_pairing_raises_the_reference_error(d1, d1_cf):
             with pytest.raises(DomainError) as got:
                 check_agreement(built, family, group=group)
             assert str(got.value) == str(want.value) and got.value.event == want.value.event == ev("w1")
+
+
+# ---------------------------------------------------------------------------
+# malformed families raise as the reference does
+# ---------------------------------------------------------------------------
+
+
+def _outcome(call):
+    """A call's result, or the type, message and event of the library error it raised."""
+    try:
+        return call()
+    except EpistemicError as exc:
+        return type(exc), str(exc), getattr(exc, "event", None)
+
+
+def test_malformed_families_raise_the_reference_error(d1, d1_cf):
+    """Each malformed family raises what the reference raises, in the same order: a missing or
+    doubled agent, then a wrong kind, then an off-domain table, every table before any entry
+    is compiled, so an undecided state in the pairing comes last."""
+    undecided, _ = _undecided_duplicates(d1_cf, "a", ["w2"])
+    tables = {agent: {e: "0" for e in gamma(d1, agent)} for agent in d1.agents}
+    a, b = (gamma_df(agent, tables[agent]) for agent in d1.agents)
+    short = gamma_df("b", dict(list(tables["b"].items())[1:]))  # one domain event missing
+    extra = gamma_df("a", {**tables["a"], ev("w0"): "1"})  # one event off a's domain
+    wrong = {
+        "missing agent": (a,),
+        "doubled agent": (a, a),
+        "field table": (a, DecisionFunction(agent="b", kind="field", table=tables["b"])),
+        "field and off-domain tables": (extra, DecisionFunction(agent="b", kind="field", table=tables["b"])),
+        "missing event": (a, short),
+        "extra event": (extra, b),
+        "both off the domain": (extra, short),
+        "well formed": (a, b),
+    }
+    raised = Counter()
+    for name, family in wrong.items():
+        for built in (d1_cf, undecided):
+            for group in (None, ["a"], ["b"], ["b", "a"]):
+                for family_order in (family, family[::-1]):
+                    got = _outcome(lambda: check_agreement(built, family_order, group=group))
+                    assert got == _outcome(lambda: check_agreement_reference(built, family_order, group)), name
+                    raised[got[0] if type(got) is tuple else "verdict"] += 1
+    # the undecided pairing's own error shows only when every table is well formed
+    assert raised["verdict"] == raised[DomainError] == 8
+    assert raised[InputError] == 7 * 16
 
 
 # ---------------------------------------------------------------------------
@@ -992,6 +1037,21 @@ def test_exhaustive_search_makes_the_pinned_checks(monkeypatch):
     assert calls["profiles"] == pins["agreement.profiles_checked"] == 46427
 
 
+def test_fresh_search_keys_each_table_once_per_family(monkeypatch):
+    calls = Counter()
+    table_key = decisions._table_key
+
+    def counting(*args):
+        calls["keys"] += 1
+        return table_key(*args)
+
+    for module in (decisions, agreement):
+        monkeypatch.setattr(module, "_table_key", counting)
+    assert search_disagreement(make_d1(), 3) is None
+    # two tables in each of 6,825 families; compiling the 996 distinct ones keys none again
+    assert calls["keys"] == 2 * 6825 == 13650
+
+
 # ---------------------------------------------------------------------------
 # family order and shape, and arguments of the wrong type
 # ---------------------------------------------------------------------------
@@ -1020,6 +1080,28 @@ def test_family_with_a_missing_or_duplicated_agent_is_refused(d1, d1_cf):
         with pytest.raises(InputError) as info:
             check_agreement(d1_cf, bad)
         assert str(info.value) == "decision family must contain exactly one function per agent"
+
+
+def test_a_bool_is_not_a_count(d1, d1_cf):
+    # Python counts True as 1: as an action count, a cell cap or a family cap it is refused
+    family = next(enumerate_decision_profiles(d1, 2))
+    cases = [
+        (lambda: search_disagreement(d1, True), "actions must be a count or an iterable of action names, got True"),
+        (lambda: next(enumerate_decision_profiles(d1, False, kind="field")),
+         "actions must be a count or an iterable of action names, got False"),
+        (lambda: decisions.normalize_actions(True), "actions must be a count or an iterable of action names, got True"),
+        (lambda: partitions.resolve_max_cells(True), "cell cap must be an integer, got True"),
+        (lambda: gamma(d1, "a", max_cells=True), "cell cap must be an integer, got True"),
+        (lambda: check_agreement(d1_cf, family, max_cells=True), "cell cap must be an integer, got True"),
+        (lambda: search_disagreement(d1, 2, max_cells=False), "cell cap must be an integer, got False"),
+        (lambda: search_disagreement(d1, 2, max_families=True), "family cap must be an integer, got True"),
+        (lambda: next(enumerate_decision_profiles(d1, 2, kind="field", max_families=False)),
+         "family cap must be an integer, got False"),
+    ]
+    for call, message in cases:
+        with pytest.raises(InputError) as info:
+            call()
+        assert str(info.value) == message
 
 
 def test_arguments_of_the_wrong_type_raise_input_errors(d1, d1_cf):

@@ -176,6 +176,20 @@ def test_search_refuses_a_huge_action_count_without_a_traceback(d1_path, capsys)
         "error: 99999999999999999999 actions give each agent more than the cap of 1000000 tables\n")
 
 
+def test_search_refuses_a_huge_action_count_under_as_huge_a_cap(d1_path):
+    # The cap admits the count, so each agent's table count from the count alone refuses it,
+    # before any action name is built. Run with bounded memory, so a build of the names fails
+    # fast instead of exhausting the host.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    huge = "99999999999999999999"
+    done = subprocess.run(
+        [sys.executable, "-c", "import resource, runpy, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+                               "sys.argv[0] = 'epistemic'; runpy.run_module('epistemic', run_name='__main__')",
+         "search", d1_path, "--actions", huge, "--max-families", huge],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: too many cell assignments for agent 'a'\n")
+
+
 def test_actions_that_int_cannot_read_are_names(d1_path, capsys):
     # "²" is a digit that int() refuses, so it names one action, as "-1" does; "٣" is a decimal 3
     outputs = {}
