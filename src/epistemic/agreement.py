@@ -13,20 +13,21 @@ classes, not the profiles: a reach class fixes at most one profile, the action
 each member takes on all of it, and the violations are the non-constant
 profiles some class fixes, each commonly believed on those classes' states.
 
-The hypothesis checks (Sure-Thing Principle and like-mindedness) run first
-and are carried on the verdict; a family that fails them is still checked so
-the resulting violations can be inspected together with the failed hypothesis.
-In theorem2 mode both checks, and each table's action on every reach class of
-the whole agent set, are read off one entry per table, compiled once per
-counterfactual structure from the table's key through a per-agent plan, also
-built once per structure. A family is read in one pass over its entries, and
-one that breaks nothing, with every member of the whole group picking alike,
-gets the shared passing verdict without the class loop.
+The hypotheses (Sure-Thing Principle and like-mindedness) are carried on the
+verdict; a family that fails them is still checked. In both modes both checks,
+and each table's action on every reach class of the whole agent set, are read
+off one entry per table, compiled from the table's key through a per-agent
+plan. In theorem2 mode plan and entries are built once per counterfactual
+structure; in theorem1 mode the plan is built from the family's field on each
+call, and nothing is stored. A family is read in one pass over its entries,
+and one that breaks nothing, with every member of the whole group picking
+alike, gets the shared passing verdict without the class loop.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -37,10 +38,10 @@ from .decisions import (
     GAMMA_KIND,
     Violation,
     ViolationList,
-    check_like_minded,
-    check_stp_field,
     enumerate_decision_profiles,
     _disagreements,
+    _disjoint_families,
+    _field_keys,
     _shared_events,
     _stp_violations,
     _table_key,
@@ -109,60 +110,52 @@ class _Compiled:
     stp: tuple[Violation, ...]
     actions: tuple[str, ...]  # the actions in the table, sorted
     masks: tuple[int, ...]  # per action, the carrier states at which the agent takes it
-    shared: tuple[tuple[str, ...], ...]  # per agent, the actions on the events shared with it; () in theorem1
+    shared: tuple[tuple[str, ...], ...]  # per agent, the actions on the events shared with it (all, in theorem1)
     picks: tuple[str | None, ...]  # per reach class of all agents, the action taken on all of it, or None
 
 
-def _compile(target, df: DecisionFunction, key: tuple[str, ...] | None = None, cap: int | None = None) -> _Compiled:
-    """One agent's entry: with the table's validated ``key``, a gamma table on a
-    counterfactual structure, read off the key through the agent's plan; without, a field
-    table on the caller's structure, whose hypotheses ``check_agreement`` checks on the
-    tables themselves."""
-    agent = df.agent
-    if key is None:
-        carrier, stp, actions, shared, table = target, (), df.actions(), (), df.table
-        cells = []
-        for info, mask, first in carrier._agent_index(agent).groups:  # the table must cover each
-            action = table.get(info)
-            if action is None:
-                raise _undecided(agent, carrier.states[first], info)
-            cells.append((action, mask))
-    else:
-        carrier, row = target.structure, key[1:]  # row[p]: the action on the p-th domain event
-        order, pairs, groups, shared_at = _plan(target, agent, cap)
-        stp = _stp_violations(agent, order, pairs, row).entries
-        actions = tuple(sorted(set(row)))
-        shared = tuple([tuple([row[p] for p in at]) for at in shared_at])
-        cells = [(row[p], mask) for p, mask in groups]
+def _compile(carrier: InformationStructure, key: tuple[str, ...], plan: tuple) -> _Compiled:
+    """One agent's entry on the carrier, read off the table's validated ``key`` through the
+    agent's ``plan``: (domain order, principle pairs, (domain position, carrier states) per
+    possibility set, per agent the positions of the events the two share)."""
+    agent, row = key[0], key[1:]  # row[p]: the action on the p-th domain event
+    order, pairs, groups, shared_at = plan
+    actions = tuple(sorted(set(row)))
     buckets: dict[str, int] = {}  # one OR per possibility set
-    for action, mask in cells:
+    for p, mask in groups:
+        action = row[p]
         buckets[action] = buckets.get(action, 0) | mask
     masks = tuple([buckets.get(a, 0) for a in actions])
-    return _Compiled(stp, actions, masks, shared, _picks(carrier._reach_groups(carrier.agents), actions, masks))
+    return _Compiled(_stp_violations(agent, order, pairs, row).entries, actions, masks,
+                     tuple([tuple([row[p] for p in at]) for at in shared_at]),
+                     _picks(carrier._reach_groups(carrier.agents), actions, masks))
+
+
+def _groups(carrier: InformationStructure, agent: str, at: dict[Event, int]) -> tuple[tuple[int, int], ...]:
+    """(domain position, carrier states) per possibility set of the agent, the position read
+    from ``at``. A possibility set with no decision raises."""
+    groups = []
+    for info, mask, first in carrier._agent_index(agent).groups:
+        if info not in at:
+            raise _undecided(agent, carrier.states[first], info)
+        groups.append((at[info], mask))
+    return tuple(groups)
 
 
 def _plan(target: CounterfactualStructure, agent: str, cap: int) -> tuple:
-    """How the agent's gamma tables are read on this pairing, built on its first compile:
-    the domain order and principle pairs, (domain position, carrier states) per possibility
-    set, and per agent the positions of the events the two share, () for the agent itself.
-    A possibility set outside the domain raises, and no plan is stored."""
-    plan = target._plans.get(agent)
-    if plan is None:
-        source, carrier = target.origin, target.structure
-        _, order, _, pairs = _closure(source, agent, cap)
-        at = {event: p for p, event in enumerate(order)}
-        groups = []
-        for info, mask, first in carrier._agent_index(agent).groups:
-            if info not in at:
-                raise _undecided(agent, carrier.states[first], info)
-            groups.append((at[info], mask))
-        agents = carrier.agents
-        i = agents.index(agent)
-        shared = []  # read at the ("shared", i, j) positions, i before j in agent order
-        for j, other in enumerate(agents):
-            pair, side = ((agent, other), 1) if i < j else ((other, agent), 2)
-            shared.append(() if i == j else tuple([fact[side] for fact in _shared_events(source, *pair, cap)]))
-        plan = target._plans[agent] = (order, pairs, tuple(groups), tuple(shared))
+    """The agent's plan for gamma tables on this pairing (see ``_compile``), stored on its
+    first compile, with () for the agent's own shared positions. A possibility set outside
+    the domain raises, and no plan is stored."""
+    source, carrier = target.origin, target.structure
+    _, order, _, pairs = _closure(source, agent, cap)
+    groups = _groups(carrier, agent, {event: p for p, event in enumerate(order)})
+    agents = carrier.agents
+    i = agents.index(agent)
+    shared = []  # read at the ("shared", i, j) positions, i before j in agent order
+    for j, other in enumerate(agents):
+        pair, side = ((agent, other), 1) if i < j else ((other, agent), 2)
+        shared.append(() if i == j else tuple([fact[side] for fact in _shared_events(source, *pair, cap)]))
+    plan = target._plans[agent] = (order, pairs, groups, tuple(shared))
     return plan
 
 
@@ -231,63 +224,62 @@ def check_agreement(
     non-constant profile has an empty common-belief event. ``max_cells`` is the
     cell cap of the theorem2 hypothesis checks, resolved once per call.
     """
-    hyp: list = []
     if mode == MODE_THEOREM2:
         if not isinstance(target, CounterfactualStructure):
             raise InputError("theorem2 mode checks a counterfactual structure")
-        source = target.origin
-        carrier = target.structure
+        source, carrier, field = target.origin, target.structure, ()
         dfs = _normalize_family(carrier.agents, family, GAMMA_KIND)
         cap = resolve_max_cells(max_cells)
         keys = [_table_key(source, df, cap) for df in dfs]  # every table validated before any compile
-        store = target._compiled
-        compiled = []
-        profiles = 1
-        clean = True  # no entry breaks the principle, and every entry picks as the first does
-        for df, key in zip(dfs, keys):  # each entry compiled on first use; a raise stores nothing
-            entry = store.get(key)
-            if entry is None:
-                entry = store[key] = _compile(target, df, key, cap)
-            compiled.append(entry)
-            profiles *= len(entry.actions)
-            if entry.stp or entry.picks != compiled[0].picks:
-                clean = False
-        members = carrier.agents if group is None else carrier._group(group)
-        like_minded = _like_minded(compiled)
-        if clean and like_minded and members == carrier.agents:  # nothing to report: one shared verdict
-            return _passed(mode, members, profiles)
-        if not like_minded:
-            hyp.extend(_disagreements(carrier.agents, keys, 1, source, cap))  # a key's actions start at index 1
-        for entry in compiled:
-            hyp.extend(entry.stp)
+        store, plans = target._compiled, target._plans
     elif mode == MODE_THEOREM1:
         if not isinstance(target, InformationStructure):
             raise InputError("theorem1 mode checks an information structure")
         if not target.is_partitional():
             raise PreconditionError("theorem1 mode requires a partitional structure")
-        carrier = target
+        source, carrier, cap = None, target, None
         dfs = _normalize_family(carrier.agents, family, FIELD_KIND)
-        field = tuple(dfs[0].table)
-        hyp.extend(check_like_minded(None, dfs))
-        for df in dfs:
-            hyp.extend(check_stp_field(field, df))
+        field, masks, keys = _field_keys(dfs)
+        if not field:
+            raise InputError("field must contain at least one event")
+        if not field[0]:  # the empty event sorts first
+            raise InputError("field events must be non-empty")
+        pairs = _disjoint_families(masks)
+        at = {event: p for p, event in enumerate(field)}
+        shared = (tuple(range(len(field))),) * len(carrier.agents)  # field tables share every event
         # Not stored: this is the caller's own structure, where entries would outlive the
         # search, and a like-minded theorem1 stream yields a new shared table for every family.
-        compiled = [_compile(carrier, df) for df in dfs]
-        members = carrier.agents if group is None else carrier._group(group)
+        store, plans = {}, {agent: (field, pairs, _groups(carrier, agent, at), shared) for agent in carrier.agents}
     else:
         raise InputError(f"unknown mode {mode!r}")
+
+    compiled = []
+    profiles = 1
+    clean = True  # no entry breaks the principle, and every entry picks as the first does
+    for key in keys:  # each entry compiled on first use; a raise stores nothing
+        entry = store.get(key)
+        if entry is None:  # a theorem1 call holds every agent's plan; a pairing builds each on first use
+            entry = store[key] = _compile(carrier, key, plans.get(key[0]) or _plan(target, key[0], cap))
+        compiled.append(entry)
+        profiles *= len(entry.actions)
+        if entry.stp or entry.picks != compiled[0].picks:
+            clean = False
+    members = carrier.agents if group is None else carrier._group(group)
+    like_minded = _like_minded(compiled)
+    if clean and like_minded and members == carrier.agents:  # nothing to report: one shared verdict
+        return _passed(mode, members, profiles)
+    hyp = [] if like_minded else list(_disagreements(keys, source, cap, field))
+    for entry in compiled:
+        hyp.extend(entry.stp)
 
     if members == carrier.agents:
         entries = compiled  # already in agent order, and their picks are this group's
         picks = [e.picks for e in entries]
     else:
-        by_agent = {df.agent: entry for df, entry in zip(dfs, compiled)}
+        by_agent = dict(zip(carrier.agents, compiled))
         entries = [by_agent[a] for a in members]
         picks = [_picks(carrier._reach_groups(members), e.actions, e.masks) for e in entries]
-    profiles = 1
-    for e in entries:  # a loop, not math.prod over a comprehension: this runs for every family
-        profiles *= len(e.actions)
+        profiles = math.prod([len(e.actions) for e in entries])
     violations: list[AgreementViolation] = []
     if picks.count(picks[0]) < len(picks):  # members that pick alike on every class never disagree
         # A class commonly believes a profile's agreement event when its reach lies inside it. No

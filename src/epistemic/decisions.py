@@ -408,38 +408,42 @@ def check_like_minded(
     if kind == GAMMA_KIND:
         if not isinstance(structure, InformationStructure):
             raise InputError("gamma-kind like-mindedness needs the underlying structure")
-        keys = sorted([_table_key(structure, df, max_cells) for df in dfs])  # by agent, which leads each key
-        return ViolationList(entries=_disagreements([key[0] for key in keys], keys, 1, structure, max_cells))
+        keys = [_table_key(structure, df, max_cells) for df in dfs]  # sorted below by agent, which leads each key
+        return ViolationList(entries=_disagreements(sorted(keys), structure, max_cells))
+    events, _, keys = _field_keys(dfs)
+    return ViolationList(entries=_disagreements(sorted(keys), None, field=events))
+
+
+def _field_keys(dfs: Sequence[DecisionFunction]) -> tuple[tuple[Event, ...], tuple[int, ...], list[tuple[str, ...]]]:
+    """The field's events in canonical order and their masks, and per table its agent, then its
+    actions on those events: the one walk that validates a field family, whose tables must
+    share one domain, and reads it."""
+    domain = dfs[0].table.keys()
     for df in dfs:
-        if df.table.keys() != dfs[0].table.keys():
-            raise InputError(
-                f"field decision functions must share one domain; agent {df.agent!r} differs"
-            )
-    dfs = sorted(dfs, key=lambda d: d.agent)
-    events = _compiled_field(frozenset(dfs[0].table))[0]
-    rows = [[df.table[e] for e in events] for df in dfs]
-    return ViolationList(entries=_disagreements([df.agent for df in dfs], rows, 0, None, field=events))
+        if df.table.keys() != domain:
+            raise InputError(f"field decision functions must share one domain; agent {df.agent!r} differs")
+    events, masks, _ = _compiled_field(frozenset(domain))
+    return events, masks, [(df.agent, *map(df.table.__getitem__, events)) for df in dfs]
 
 
-def _disagreements(agents: Sequence[str], rows: Sequence[Sequence[str]], start: int,
-                   structure: InformationStructure | None, max_cells: int | None = None,
-                   field: tuple[Event, ...] = ()) -> tuple[Violation, ...]:
-    """Like-mindedness of validated tables in agent order, compared by position.
+def _disagreements(keys: Sequence[tuple[str, ...]], structure: InformationStructure | None,
+                   max_cells: int | None = None, field: tuple[Event, ...] = ()) -> tuple[Violation, ...]:
+    """Like-mindedness of validated tables' keys in agent order, compared by position.
 
-    ``rows[k][start + p]`` is agent k's action on the event at position p of its domain
-    order. Gamma tables read each pair's shared events, with their positions, from the
-    ``("shared", i, j)`` facts of ``structure``. Field tables (``structure`` None) share
-    one domain, so every row follows the canonical order of ``field``.
+    ``keys[k]`` is agent k, then its action on each event of its domain order. Gamma tables
+    read each pair's shared events, with their positions, from the ``("shared", i, j)``
+    facts of ``structure``. Field tables (``structure`` None) share one domain, so every
+    key follows the canonical order of ``field``.
     """
     violations = []
-    for a, b in itertools.combinations(range(len(agents)), 2):
-        row_a, row_b = rows[a], rows[b]
-        shared = (_shared_events(structure, agents[a], agents[b], max_cells) if structure is not None
+    for key_a, key_b in itertools.combinations(keys, 2):
+        pair = key_a[0], key_b[0]
+        shared = (_shared_events(structure, *pair, max_cells) if structure is not None
                   else zip(field, range(len(field)), range(len(field))))
         for event, p, q in shared:
-            expected, actual = row_a[start + p], row_b[start + q]
+            expected, actual = key_a[1 + p], key_b[1 + q]
             if expected != actual:
-                violations.append(Violation(kind="like-minded", agents=(agents[a], agents[b]), events=(event,),
+                violations.append(Violation(kind="like-minded", agents=pair, events=(event,),
                                             union_event=None, expected=expected, actual=actual))
     return tuple(violations)
 
@@ -489,6 +493,15 @@ def _gamma_tables(
     return [dict(zip(domain, r)) for r in rows]
 
 
+def _count_text(n: int) -> str:
+    """A count as an error message prints it: its digits, or a lower bound where it has more
+    digits than Python turns into a string (4,300 by default)."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"at least 2**{n.bit_length() - 1}"
+
+
 def _check_table_count(structure: InformationStructure, agent: str, count: int, stp: bool,
                        max_families: int, max_cells: int | None) -> None:
     """Raise unless ``count`` actions give the agent at most ``max_families`` tables before the
@@ -498,7 +511,8 @@ def _check_table_count(structure: InformationStructure, agent: str, count: int, 
     if not stp:
         tables = count ** len(domain)
         if tables > max_families:
-            raise ResourceLimitError(f"agent {agent!r} alone admits {tables} tables, above the cap of {max_families}")
+            raise ResourceLimitError(f"agent {agent!r} alone admits {_count_text(tables)} tables, "
+                                     f"above the cap of {_count_text(max_families)}")
     elif count ** len(cells) > max_families:
         raise ResourceLimitError(f"too many cell assignments for agent {agent!r}")
 
@@ -567,7 +581,8 @@ def enumerate_decision_profiles(
     count = actions if acts is None else len(acts)
     # Every agent has a domain event, so it has a table per action at least.
     if acts is None and count > max_families:
-        raise ResourceLimitError(f"{count} actions give each agent more than the cap of {max_families} tables")
+        raise ResourceLimitError(f"{_count_text(count)} actions give each agent more than the cap of "
+                                 f"{_count_text(max_families)} tables")
     agents = structure.agents
     if kind == GAMMA_KIND:
         for a in agents:
@@ -580,7 +595,7 @@ def enumerate_decision_profiles(
         for tables in per_agent:
             total *= len(tables)
         if total > max_families:
-            raise ResourceLimitError(f"{total} families exceed the cap of {max_families}")
+            raise ResourceLimitError(f"{_count_text(total)} families exceed the cap of {_count_text(max_families)}")
         combos = (_join(_join_steps(structure, agents, per_agent, max_cells), ()) if like_minded
                   else itertools.product(*per_agent))
         for combo in combos:
@@ -601,8 +616,8 @@ def enumerate_decision_profiles(
     count_one = count ** len(domain)
     families_idx = _disjoint_families(masks) if stp else ()
     if count_one > max_families:
-        raise ResourceLimitError(f"{count_one} shared tables exceed the cap of {max_families}" if like_minded
-                                 else f"{count_one} tables per agent exceed the cap of {max_families}")
+        raise ResourceLimitError(f"{_count_text(count_one)} {'shared tables' if like_minded else 'tables per agent'} "
+                                 f"exceed the cap of {_count_text(max_families)}")
     acts = acts or normalize_actions(actions)
     combos = itertools.product(acts, repeat=len(domain))
     if stp:  # the tables in which _first_break finds no break, filtered in C: this runs per candidate
@@ -615,6 +630,6 @@ def enumerate_decision_profiles(
     combos = list(combos)
     total = len(combos) ** len(agents)
     if total > max_families:
-        raise ResourceLimitError(f"{total} families exceed the cap of {max_families}")
+        raise ResourceLimitError(f"{_count_text(total)} families exceed the cap of {_count_text(max_families)}")
     for chosen in itertools.product(combos, repeat=len(agents)):
         yield tuple(DecisionFunction._built(a, FIELD_KIND, dict(zip(domain, c))) for a, c in zip(agents, chosen))

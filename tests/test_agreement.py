@@ -517,9 +517,9 @@ def test_search_reads_hypothesis_facts_from_the_index(monkeypatch):
     compile_gamma = agreement._compile
     compiled = Counter()
 
-    def counting_compile(carrier, df, *args):
-        compiled[df.agent, frozenset(df.table.items())] += 1
-        return compile_gamma(carrier, df, *args)
+    def counting_compile(carrier, key, plan):
+        compiled[key] += 1
+        return compile_gamma(carrier, key, plan)
 
     def counting_memo(self, key, build):
         def counted_build():
@@ -541,8 +541,9 @@ def test_search_reads_hypothesis_facts_from_the_index(monkeypatch):
     assert sorted(key[1] for key in hypothesis_facts) == [("gamma", "a"), ("gamma", "b"), ("shared", "a", "b")]
     assert set(hypothesis_facts.values()) == {1}
     # one compiled entry per distinct (agent, table) the search checks, each built once
+    domains = {agent: gamma(source, agent) for agent in source.agents}
     distinct_tables = {
-        (df.agent, frozenset(df.table.items()))
+        (df.agent, *[df.table[e] for e in domains[df.agent]])
         for family in enumerate_decision_profiles(make_d1(), 3, stp=True, like_minded=True)
         for df in family
     }
@@ -868,16 +869,16 @@ def _memo_compile():
     return compile_table
 
 
-def _cross_check(built, families, groups, compile_table):
+def _cross_check(target, families, groups, compile_table, mode="theorem2"):
     """Every family's verdict for every group equals the reference verdict, with tables
     compiled by ``compile_table``. Returns what was seen."""
-    carrier = built.structure
+    carrier = target.structure if mode == "theorem2" else target
     cap = partitions.resolve_max_cells()  # the default the public check resolves, read once for the reference
     seen = Counter()
     for family in families:
         for group in groups:
-            got = check_agreement(built, family, group=group)
-            assert got == check_agreement_reference(built, family, group, max_cells=cap, compile_table=compile_table)
+            got = check_agreement(target, family, group=group, mode=mode)
+            assert got == check_agreement_reference(target, family, group, mode, cap, compile_table)
             seen["violations"] += len(got.violations)
             if got.violations and carrier._reach_groups(got.group) != carrier._reach_groups(carrier.agents):
                 seen["violations on classes no entry holds"] += len(got.violations)
@@ -951,6 +952,39 @@ def test_seeded_entries_and_verdicts_match_the_references():
     assert seen["2 agents"] and seen["3 agents"] and seen["met"] and seen["violations on classes no entry holds"]
 
 
+def test_seeded_field_verdicts_match_the_reference():
+    """The theorem1 streams over the power-set field on one seeded structure of each shape, 3
+    or 4 states and 2 or 3 agents: the whole group on every family, smaller and reordered
+    groups on about 60 spaced ones. Streams longer than the 3-state one with both hypotheses
+    relaxed (128 ** 2 families) are left out: on 4 states, every stream but the one that
+    keeps both."""
+    rng = random.Random(157)
+    structures = {}
+    while len(structures) < 4:
+        S = random_partitional(rng, max_states=4, max_agents=3, max_cells=3)
+        if len(S.agents) >= 2 and len(S.states) >= 3:
+            structures.setdefault((len(S.states), len(S.agents)), S)
+    seen = Counter()
+    for S in structures.values():
+        pairs = [[j, i] for i, j in itertools.combinations(S.agents, 2)] if len(S.agents) > 2 else []
+        groups = [[S.agents[0]], *pairs, list(reversed(S.agents))]
+        compile_table = _memo_compile()
+        for relax in RELAX_SETTINGS:
+            try:  # the cap admits the 2 ** 15 tables of the 4-state power set
+                families = list(itertools.islice(enumerate_decision_profiles(
+                    S, 2, kind="field", stp="stp" not in relax, like_minded="like_minded" not in relax,
+                    max_families=2 ** 15), 2 ** 14 + 1))
+            except ResourceLimitError:
+                continue
+            if len(families) > 2 ** 14:
+                continue
+            seen += _cross_check(S, families, [None], compile_table, "theorem1")
+            seen += _cross_check(S, families[::-(-len(families) // 60)], groups, compile_table, "theorem1")
+            seen[relax] += 1
+    assert [seen[relax] for relax in RELAX_SETTINGS] == [4, 2, 1, 1]
+    assert seen["met"] and seen["broken"] and seen["violations"] and seen["violations on classes no entry holds"]
+
+
 def test_damaged_pairing_raises_the_reference_error(d1, d1_cf):
     built, _ = _undecided_duplicates(d1_cf, "b", ["w1"])
     for family in _relaxed_families(d1, 300)[::50]:
@@ -976,9 +1010,12 @@ def _outcome(call):
 
 
 def test_malformed_families_raise_the_reference_error(d1, d1_cf):
-    """Each malformed family raises what the reference raises, in the same order: a missing or
-    doubled agent, then a wrong kind, then an off-domain table, every table before any entry
-    is compiled, so an undecided state in the pairing comes last."""
+    """Each malformed family raises what the reference raises, in the same order. Theorem2: a
+    missing or doubled agent, then a wrong kind, then an off-domain table, every table before
+    any entry is compiled, so an undecided state in the pairing comes last. Theorem1: a
+    missing or doubled agent, then a wrong kind, then unequal domains, then an empty field,
+    then an empty event, then a field without some agent's possibility set, the first such
+    set in agent order, then state order."""
     undecided, _ = _undecided_duplicates(d1_cf, "a", ["w2"])
     tables = {agent: {e: "0" for e in gamma(d1, agent)} for agent in d1.agents}
     a, b = (gamma_df(agent, tables[agent]) for agent in d1.agents)
@@ -994,17 +1031,41 @@ def test_malformed_families_raise_the_reference_error(d1, d1_cf):
         "both off the domain": (extra, short),
         "well formed": (a, b),
     }
+    field = powerset_field(d1)
+    const = dict.fromkeys(field, "0")
+    smaller = dict.fromkeys(field[1:], "0")
+    varied = {e: "1" if len(e) == 2 else "0" for e in field}
+    gaps = {e: "0" for e in field if e not in (ev("w1", "w2"), ev("w2", "w3"))}  # b's cell, then a's
+    fa, fb = field_df("a", const), field_df("b", varied)
+    wrong_fields = {
+        "missing agent": (fa,),
+        "doubled agent": (fa, fa),
+        "gamma table": (fa, b),
+        "gamma table and unequal domains": (field_df("a", smaller), gamma_df("b", const)),
+        "unequal domains": (fa, field_df("b", smaller)),
+        "unequal domains, the first smaller": (field_df("a", smaller), fb),
+        "empty tables": (field_df("a", {}), field_df("b", {})),
+        "empty event": (field_df("a", {frozenset(): "0", **const}), field_df("b", {frozenset(): "0", **const})),
+        "empty event and gaps": (field_df("a", {frozenset(): "0", **gaps}), field_df("b", {frozenset(): "0", **gaps})),
+        "gaps": (field_df("a", gaps), field_df("b", gaps)),
+        "well formed": (fa, fb),
+    }
     raised = Counter()
-    for name, family in wrong.items():
-        for built in (d1_cf, undecided):
-            for group in (None, ["a"], ["b"], ["b", "a"]):
-                for family_order in (family, family[::-1]):
-                    got = _outcome(lambda: check_agreement(built, family_order, group=group))
-                    assert got == _outcome(lambda: check_agreement_reference(built, family_order, group)), name
-                    raised[got[0] if type(got) is tuple else "verdict"] += 1
+    for mode, targets, cases in (("theorem2", (d1_cf, undecided), wrong), ("theorem1", (d1,), wrong_fields)):
+        for name, family in cases.items():
+            for target in targets:
+                for group in (None, ["a"], ["b"], ["b", "a"]):
+                    for family_order in (family, family[::-1]):
+                        got = _outcome(lambda: check_agreement(target, family_order, group=group, mode=mode))
+                        want = _outcome(lambda: check_agreement_reference(target, family_order, group, mode))
+                        assert got == want, (mode, name)
+                        raised[mode, got[0] if type(got) is tuple else "verdict"] += 1
     # the undecided pairing's own error shows only when every table is well formed
-    assert raised["verdict"] == raised[DomainError] == 8
-    assert raised[InputError] == 7 * 16
+    assert raised["theorem2", "verdict"] == raised["theorem2", DomainError] == 8
+    assert raised["theorem2", InputError] == 7 * 16
+    assert raised["theorem1", "verdict"] == raised["theorem1", DomainError] == 8
+    assert raised["theorem1", InputError] == 9 * 8
+    assert _outcome(lambda: check_agreement(d1, wrong_fields["gaps"], mode="theorem1"))[2] == ev("w2", "w3")
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 
 from epistemic import (
     DecisionFunction,
+    InformationStructure,
     build_counterfactual,
     gamma,
     powerset_field,
@@ -188,6 +189,18 @@ def test_search_refuses_a_huge_action_count_under_as_huge_a_cap(d1_path):
          "search", d1_path, "--actions", huge, "--max-families", huge],
         capture_output=True, text=True, env=env, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: too many cell assignments for agent 'a'\n")
+
+
+def test_search_refuses_a_table_count_past_the_printable_digits_without_a_traceback(tmp_path):
+    # 12 actions on the 4,095 events of 12 singleton cells' union closure: a count of 4,420 digits
+    states = [f"s{k:02d}" for k in range(12)]
+    path = tmp_path / "singletons.json"
+    path.write_text(serialize_structure(InformationStructure(states, ["a"], {"a": [(s, s) for s in states]})), "utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    done = subprocess.run([sys.executable, "-m", "epistemic", "search", str(path), "--actions", "12", "--relax", "stp"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", "error: agent 'a' alone admits at least 2**14680 tables, above the cap of 1000000\n")
 
 
 def test_actions_that_int_cannot_read_are_names(d1_path, capsys):

@@ -762,6 +762,37 @@ def test_an_action_count_above_the_cap_raises_before_any_name_is_built(d1):
         next(enumerate_decision_profiles(d1, 3, max_families=3))
 
 
+def _singleton_cells(states, agents=1):
+    """One state per cell for every agent."""
+    names = [f"s{k:02d}" for k in range(states)]
+    agent_names = [f"a{k:05d}" for k in range(agents)]
+    return InformationStructure(names, agent_names, {a: equivalence_pairs([[s] for s in names]) for a in agent_names})
+
+
+def test_counts_past_the_printable_digits_raise_resource_limit_errors():
+    # Python turns no int of more than 4,300 digits into a string, so these print a lower bound
+    cases = {
+        # 12 actions on the 4,095 events of 12 singleton cells' union closure
+        "agent 'a00000' alone admits at least 2**14680 tables, above the cap of 1000000":
+            lambda: search_disagreement(_singleton_cells(12), 12, relax=["stp"]),
+        # 4 actions on the 8,191 events of a 13-state power set
+        "at least 2**16382 tables per agent exceed the cap of 1000000":
+            lambda: next(enumerate_decision_profiles(_singleton_cells(13), 4, kind="field")),
+        "at least 2**16609 actions give each agent more than the cap of 1000000 tables":
+            lambda: next(enumerate_decision_profiles(_singleton_cells(1), 10**5000)),
+        # two tables for each of 14,300 agents
+        "at least 2**14300 families exceed the cap of 1000000":
+            lambda: next(enumerate_decision_profiles(_singleton_cells(1, agents=14300), 2)),
+    }
+    for message, call in cases.items():
+        with pytest.raises(ResourceLimitError) as err:
+            call()
+        assert str(err.value) == message
+    with pytest.raises(ResourceLimitError) as err:
+        next(enumerate_decision_profiles(_singleton_cells(1, agents=14300), 2, kind="field"))
+    assert str(err.value) == "at least 2**14300 families exceed the cap of 1000000"
+
+
 def test_enumeration_is_deterministic(d1):
     first = list(enumerate_decision_profiles(d1, 2, stp=True))
     second = list(enumerate_decision_profiles(d1, 2, stp=True))

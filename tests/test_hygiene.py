@@ -1,6 +1,7 @@
 """Source hygiene: no `assert` invariants, no random sampling, one canonical layout,
 three constructor bypasses, one maker of provenance labels, one writer per index fact,
-one Sure-Thing Principle test and one disjoint-family walk.
+one Sure-Thing Principle test and one disjoint-family walk, and one compile for both
+theorems' entries.
 
 ``python -O`` strips ``assert`` statements, so a runtime invariant written as
 one silently disappears; every check the library runs is exact, so it has no
@@ -12,7 +13,9 @@ from the counterfactual structure's table, when they are first read.
 Each kind of per-structure fact is written by one module, so that one module
 owns how it is built and keyed, and each agent's successor rows are grouped in
 one place, the ``("rows", agent)`` fact. The principle's per-pair test and the walk
-over disjoint event families are each written once, in ``decisions.py``.
+over disjoint event families are each written once, in ``decisions.py``. Both theorems'
+verdicts read the hypotheses off entries from one branch-free ``agreement._compile``, not
+through the public checks.
 """
 
 import ast
@@ -175,3 +178,16 @@ def test_field_stp_has_one_break_test_and_one_family_walk():
         comparers[path.name] = _union_action_comparers(tree, scopes)
     assert poppers["decisions.py"] == {"_disjoint_walk"}
     assert {name: found for name, found in comparers.items() if found} == {"decisions.py": {"_first_break"}}
+
+
+def test_both_theorems_read_their_hypotheses_off_one_compile():
+    """``agreement.py`` names neither public hypothesis check of field tables, and ``_compile``,
+    which builds the entries of both modes, has no branch."""
+    tree = ast.parse((SOURCES[0].parent / "agreement.py").read_text("utf-8"))
+    names = {getattr(node, attr) for node in ast.walk(tree) for attr in ("id", "attr", "name")
+             if isinstance(getattr(node, attr, None), str)}
+    assert not names & {"check_like_minded", "check_stp_field"}
+    compile_ = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_compile"]
+    assert len(compile_) == 1
+    branches = (ast.If, ast.IfExp, ast.Match, ast.Try, ast.BoolOp)
+    assert not [node.lineno for node in ast.walk(compile_[0]) if isinstance(node, branches)]
