@@ -239,11 +239,9 @@ def check_agreement(
             raise PreconditionError("theorem1 mode requires a partitional structure")
         source, carrier, cap = None, target, None
         dfs = _normalize_family(carrier.agents, family, FIELD_KIND)
-        field, masks, keys = _field_keys(dfs)
+        field, masks, keys = _field_keys(dfs, carrier.states)
         if not field:
             raise InputError("field must contain at least one event")
-        if not field[0]:  # the empty event sorts first
-            raise InputError("field events must be non-empty")
         pairs = _disjoint_families(masks)
         at = {event: p for p, event in enumerate(field)}
         shared = (tuple(range(len(field))),) * len(carrier.agents)  # field tables share every event

@@ -261,6 +261,22 @@ def _compiled_field(field: frozenset[Event]) -> tuple[tuple[Event, ...], tuple[i
     return events, tuple(sum(1 << index[s] for s in e) for e in events), universe
 
 
+def _read_field(field: Iterable[Event], states: Sequence[str] | None = None
+                ) -> tuple[tuple[Event, ...], tuple[int, ...], tuple[str, ...]]:
+    """A caller's field compiled (see ``_compiled_field``): the one place that checks a field.
+    Its events must be non-empty and, where the caller has a structure, over its ``states``."""
+    try:
+        compiled = _compiled_field(frozenset(map(frozenset, field)))
+    except TypeError:
+        raise InputError(f"field must be an iterable of events, got {field!r}") from None
+    events, _, universe = compiled
+    if events and not events[0]:  # the empty event sorts first
+        raise InputError("field events must be non-empty")
+    if states is not None and not set(universe).issubset(states):
+        raise InputError("field events must be non-empty subsets of the state set")
+    return compiled
+
+
 def _disjoint_walk(masks: Sequence[int], labels: Sequence[str] | None = None
                    ) -> Iterator[tuple[tuple[int, ...], int]]:
     """(member indices, union mask) for every family of one or more pairwise-disjoint masks,
@@ -307,19 +323,11 @@ def check_stp_field(field: Iterable[Event], df: DecisionFunction) -> ViolationLi
         raise InputError("the Sure-Thing Principle check needs a field and a decision function") from None
     if kind != FIELD_KIND:
         raise InputError(f"expected a field-kind decision function for agent {df.agent!r}")
-    try:
-        field_set = frozenset(map(frozenset, field))
-    except TypeError:
-        raise InputError(f"field must be an iterable of events, got {field!r}") from None
-    if not field_set:
+    events, masks, _ = _read_field(field)
+    if not events:
         raise InputError("field must contain at least one event")
-    if frozenset() in field_set:
-        raise InputError("field events must be non-empty")
-    if df.table.keys() != field_set:
-        raise InputError(
-            f"field decision table for agent {df.agent!r} must be total on the field exactly"
-        )
-    events, masks, _ = _compiled_field(field_set)
+    if df.table.keys() != set(events):
+        raise InputError(f"field decision table for agent {df.agent!r} must be total on the field exactly")
     return _stp_violations(df.agent, events, _disjoint_families(masks), [df.table[e] for e in events])
 
 
@@ -333,20 +341,15 @@ def complete_stp_field(field: Iterable[Event], table: Mapping[Event, str]) -> di
     one raises :class:`InputError`. Searches that visit more than
     ``_FAMILY_NODE_CAP`` nodes in all raise :class:`ResourceLimitError`.
     """
-    try:
-        field_set = frozenset(map(frozenset, field))
-    except TypeError:
-        raise InputError(f"field must be an iterable of events, got {field!r}") from None
-    if frozenset() in field_set:
-        raise InputError("field events must be non-empty")
+    events, masks, universe = _read_field(field)
     try:
         out = {frozenset(e): a for e, a in table.items()}
     except (AttributeError, TypeError):
         raise InputError(f"table must map field events to actions, got {table!r}") from None
+    field_set = set(events)
     for e in out:
         if e not in field_set:
             raise InputError(f"table event {canonical_event_string(e)} is not in the field")
-    events, masks, universe = _compiled_field(field_set)
     by_mask = {m: k for k, m in enumerate(masks)}
     nodes = 0
     while True:
@@ -410,19 +413,20 @@ def check_like_minded(
             raise InputError("gamma-kind like-mindedness needs the underlying structure")
         keys = [_table_key(structure, df, max_cells) for df in dfs]  # sorted below by agent, which leads each key
         return ViolationList(entries=_disagreements(sorted(keys), structure, max_cells))
-    events, _, keys = _field_keys(dfs)
+    events, _, keys = _field_keys(dfs, structure.states if isinstance(structure, InformationStructure) else None)
     return ViolationList(entries=_disagreements(sorted(keys), None, field=events))
 
 
-def _field_keys(dfs: Sequence[DecisionFunction]) -> tuple[tuple[Event, ...], tuple[int, ...], list[tuple[str, ...]]]:
+def _field_keys(dfs: Sequence[DecisionFunction], states: Sequence[str] | None = None
+                ) -> tuple[tuple[Event, ...], tuple[int, ...], list[tuple[str, ...]]]:
     """The field's events in canonical order and their masks, and per table its agent, then its
     actions on those events: the one walk that validates a field family, whose tables must
-    share one domain, and reads it."""
+    share one domain, read as a field over ``states`` (see ``_read_field``)."""
     domain = dfs[0].table.keys()
     for df in dfs:
         if df.table.keys() != domain:
             raise InputError(f"field decision functions must share one domain; agent {df.agent!r} differs")
-    events, masks, _ = _compiled_field(frozenset(domain))
+    events, masks, _ = _read_field(domain, states)
     return events, masks, [(df.agent, *map(df.table.__getitem__, events)) for df in dfs]
 
 
@@ -604,20 +608,14 @@ def enumerate_decision_profiles(
 
     if kind != FIELD_KIND:
         raise InputError(f"unknown decision kind {kind!r}")
-    try:
-        field_set = frozenset(map(frozenset, field if field is not None else powerset_field(structure)))
-    except TypeError:
-        raise InputError(f"field must be an iterable of events, got {field!r}") from None
-    if not field_set:
+    domain, masks, _ = _read_field(field if field is not None else powerset_field(structure), structure.states)
+    if not domain:
         raise InputError("field must contain at least one event")
-    domain, masks, universe = _compiled_field(field_set)
-    if frozenset() in field_set or not set(universe) <= set(structure.states):
-        raise InputError("field events must be non-empty subsets of the state set")
     count_one = count ** len(domain)
-    families_idx = _disjoint_families(masks) if stp else ()
-    if count_one > max_families:
+    if count_one > max_families:  # before the disjoint-family walk, which the cap may make needless
         raise ResourceLimitError(f"{_count_text(count_one)} {'shared tables' if like_minded else 'tables per agent'} "
                                  f"exceed the cap of {_count_text(max_families)}")
+    families_idx = _disjoint_families(masks) if stp else ()
     acts = acts or normalize_actions(actions)
     combos = itertools.product(acts, repeat=len(domain))
     if stp:  # the tables in which _first_break finds no break, filtered in C: this runs per candidate

@@ -2,7 +2,7 @@
 
 from importlib import resources
 
-from .partitions import equivalence_pairs
+from .serialization import parse_structure
 from .structures import InformationStructure
 
 
@@ -14,14 +14,7 @@ def d1() -> InformationStructure:
     enough that the agents' union closures differ and the classic definedness
     flaws show up.
     """
-    return InformationStructure(
-        states=["w0", "w1", "w2", "w3"],
-        agents=["a", "b"],
-        relations={
-            "a": equivalence_pairs([["w0", "w1"], ["w2", "w3"]]),
-            "b": equivalence_pairs([["w0"], ["w1", "w2"], ["w3"]]),
-        },
-    )
+    return parse_structure(d1_document())
 
 
 def d1_document() -> str:

@@ -155,14 +155,18 @@ def _malformed(S: InformationStructure) -> dict[str, tuple[DecisionFunction, ...
 
 def _malformed_fields(S: InformationStructure) -> dict[str, tuple[DecisionFunction, ...]]:
     """Field families that the theorem1 check refuses, each built from constant tables on the
-    power-set field: the field without the first agent's first possibility set, and, with two
-    or more agents, every agent but the first without the field's first event."""
+    power-set field: the field without the first agent's first possibility set, with two or
+    more agents every agent but the first without the field's first event, and the field plus
+    an event over a state the structure lacks."""
     field = powerset_field(S)
     gap = S.possibility_set(S.agents[0], S.states[0])
     out = {"field_gap": tuple(DecisionFunction(a, "field", {e: "0" for e in field if e != gap}) for a in S.agents)}
     if len(S.agents) > 1:
         out["unequal_domains"] = tuple(DecisionFunction(a, "field", dict.fromkeys(field[1:] if k else field, "0"))
                                        for k, a in enumerate(S.agents))
+    unknown = max(S.states) + "_"  # sorts after every state, so names none
+    out["field_outside"] = tuple(DecisionFunction(a, "field", dict.fromkeys((*field, frozenset({unknown})), "0"))
+                                 for a in S.agents)
     return out
 
 
@@ -203,8 +207,12 @@ def cover(m: Manifest, name: str, S: InformationStructure, rng: random.Random, *
             m.run("check-agreement", built, decisions, *extra)
     for family_name, family in _malformed_fields(S).items():  # raised in the theorem1 check's order
         decisions = m.write(f"{name}.{family_name}.decisions.json", serialize_decisions(family))
-        for extra in ((), ("--json",)):
-            m.run("check-agreement", doc, decisions, "--mode", "theorem1", *extra)
+        commands = [("check-agreement", "--mode", "theorem1")]
+        if family_name == "field_outside":  # also the checks that read the field with and without the states
+            commands += [("check-like-minded",), ("check-stp",)]
+        for command, *options in commands:
+            for extra in ((), ("--json",)):
+                m.run(command, doc, decisions, *options, *extra)
 
 
 def run(d1_only: bool, seed: int) -> None:

@@ -447,7 +447,9 @@ def check_agreement_reference(target, family: Sequence[DecisionFunction], group:
     test passes a memo of it), like-mindedness looked up event by event, and each reach class
     of the group matched against every member's action masks in turn. A malformed family
     raises what the public check raises: one function per agent, then each function's kind,
-    then in theorem2 mode each table's domain, every table before any is compiled."""
+    then in theorem2 mode each table's domain, every table before any is compiled, and in
+    theorem1 mode the shared domain, then a field event empty or over a state the structure
+    lacks."""
     dfs = sorted(family, key=lambda d: d.agent)
     carrier = target.structure if mode == "theorem2" else target
     kind = GAMMA_KIND if mode == "theorem2" else "field"
@@ -465,6 +467,9 @@ def check_agreement_reference(target, family: Sequence[DecisionFunction], group:
             hyp.extend(entry.stp)
     else:
         hyp = list(check_like_minded(None, dfs))
+        field = tuple(dfs[0].table)  # an empty event is check_stp_field's to refuse, below
+        if frozenset() not in field and any(not e <= set(carrier.states) for e in field):
+            raise InputError("field events must be non-empty subsets of the state set")
         for df in dfs:
             hyp.extend(check_stp_field(tuple(dfs[0].table), df))
         entries = [compile_table(target, df, None) for df in dfs]

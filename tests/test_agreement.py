@@ -1068,6 +1068,25 @@ def test_malformed_families_raise_the_reference_error(d1, d1_cf):
     assert _outcome(lambda: check_agreement(d1, wrong_fields["gaps"], mode="theorem1"))[2] == ev("w2", "w3")
 
 
+def test_field_events_over_unknown_states_are_refused_where_a_structure_is_given(d1):
+    """d1's power set plus {zz} and {w0, zz}: the theorem1 check and ``check_like_minded`` on d1
+    refuse it, as the reference does, before a possibility set missing from the field raises;
+    the checks that take no structure still read it."""
+    outside = (ev("zz"), ev("w0", "zz"))
+    field = (*powerset_field(d1), *outside)
+    family = tuple(field_df(a, {e: "1" if e == outside[1] else "0" for e in field}) for a in d1.agents)
+    gaps = tuple(field_df(a, dict.fromkeys(field[1:], "0")) for a in d1.agents)  # no {w0}: a w0 undecided
+    refused = (InputError, "field events must be non-empty subsets of the state set", None)
+    for fam in (family, gaps):
+        for group in (None, ["a"]):
+            assert _outcome(lambda: check_agreement(d1, fam, group=group, mode="theorem1")) == refused
+            assert _outcome(lambda: check_agreement_reference(d1, fam, group, "theorem1")) == refused
+        assert _outcome(lambda: check_like_minded(d1, fam)) == refused
+        assert check_like_minded(None, fam).ok
+    breaks = check_stp_field(field, family[0])
+    assert [v.describe() for v in breaks] == ["stp: agent a maps {w0, zz} to '0' but their union w0+zz to '1'"]
+
+
 # ---------------------------------------------------------------------------
 # the work counts the benchmark pins
 # ---------------------------------------------------------------------------

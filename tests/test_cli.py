@@ -373,6 +373,20 @@ def test_check_stp_on_field_tables(tmp_path, d1, d1_path, capsys):
     assert capsys.readouterr().out == "sure-thing principle: holds\n"
 
 
+def test_field_events_over_unknown_states_exit_2(tmp_path, d1, d1_path, capsys):
+    """The theorem1 check and like-mindedness read the field against the structure's states;
+    the principle's check takes no structure, and reads it."""
+    outside = frozenset({"w0", "zz"})
+    table = {e: "1" if e == outside else "0" for e in (*powerset_field(d1), frozenset({"zz"}), outside)}
+    decisions = write_decisions(tmp_path, tuple(DecisionFunction(a, "field", table) for a in d1.agents))
+    for argv in (["check-agreement", d1_path, decisions], ["check-like-minded", d1_path, decisions]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: field events must be non-empty subsets of the state set\n")
+    assert main(["check-stp", d1_path, decisions]) == 1
+    assert "stp: agent a maps {w0, zz} to '0' but their union w0+zz to '1'" in capsys.readouterr().out
+
+
 def test_python_dash_m_runs_the_cli(tmp_path, d1_path):
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
 

@@ -379,6 +379,80 @@ def test_stp_field_input_errors_in_order():
 # ---------------------------------------------------------------------------
 
 
+_NOT_ITERABLE = "field must be an iterable of events, got 5"
+_NO_EVENT = "field must contain at least one event"
+_EMPTY_EVENT = "field events must be non-empty"
+_OUTSIDE = "field events must be non-empty subsets of the state set"
+_NO_TABLE = "decision table for agent 'a' must map events to actions, got 5"
+
+
+@pytest.mark.parametrize("entry, outcomes", [
+    ("check_stp_field", (_NOT_ITERABLE, _NO_EVENT, _EMPTY_EVENT, "returns")),
+    ("complete_stp_field", (_NOT_ITERABLE, "returns", _EMPTY_EVENT, "returns")),
+    ("enumerate_decision_profiles", (_NOT_ITERABLE, _NO_EVENT, _EMPTY_EVENT, _OUTSIDE)),
+    ("check_agreement theorem1", (_NO_TABLE, _NO_EVENT, _EMPTY_EVENT, _OUTSIDE)),
+    ("check_like_minded(d1)", (_NO_TABLE, "returns", _EMPTY_EVENT, _OUTSIDE)),
+    ("check_like_minded(None)", (_NO_TABLE, "returns", _EMPTY_EVENT, "returns")),
+])
+def test_one_field_rule_for_every_entry_point(d1, entry, outcomes):
+    """Field events are non-empty and, wherever a structure is given, over its states;
+    ``check_stp_field`` and ``complete_stp_field`` take no structure, and ``complete_stp_field``
+    and ``check_like_minded`` accept an empty field. A non-iterable is no table's domain, so a
+    family on it is refused when built. Fields: not iterable, empty, holding the empty event,
+    and d1's power set plus an event over a state d1 lacks."""
+    fields = (5, [], [frozenset(), ev("w0")], [*powerset_field(d1), ev("zz")])
+
+    def family(field):  # constant tables on the field
+        return tuple(field_df(a, field if field == 5 else dict.fromkeys(field, "0")) for a in d1.agents)
+
+    call = {
+        "check_stp_field": lambda f: check_stp_field(f, family([] if f == 5 else f)[0]),
+        "complete_stp_field": lambda f: complete_stp_field(f, {}),
+        "enumerate_decision_profiles": lambda f: next(enumerate_decision_profiles(d1, 2, kind="field", field=f)),
+        "check_agreement theorem1": lambda f: check_agreement(d1, family(f), mode="theorem1"),
+        "check_like_minded(d1)": lambda f: check_like_minded(d1, family(f)),
+        "check_like_minded(None)": lambda f: check_like_minded(None, family(f)),
+    }[entry]
+    got = []
+    for field in fields:
+        try:
+            call(field)
+            got.append("returns")
+        except InputError as exc:
+            got.append(str(exc))
+    assert tuple(got) == outcomes
+
+
+def test_a_field_of_events_that_are_not_state_names_is_an_input_error(d1):
+    """Events over non-string members have no canonical order; every entry point refuses them."""
+    for field in ([frozenset({1})], [ev("w0"), frozenset({1})]):
+        family = tuple(field_df(a, dict.fromkeys(field, "0")) for a in d1.agents)
+        for call in (lambda: check_stp_field(field, family[0]), lambda: complete_stp_field(field, {}),
+                     lambda: next(enumerate_decision_profiles(d1, 2, kind="field", field=field)),
+                     lambda: check_agreement(d1, family, mode="theorem1"), lambda: check_like_minded(None, family)):
+            with pytest.raises(InputError, match="^field must be an iterable of events, got "):
+                call()
+
+
+def _singletons(n):
+    states = [f"s{k:02d}" for k in range(n)]
+    return InformationStructure(states, ["a"], {"a": equivalence_pairs([[s] for s in states])})
+
+
+@pytest.mark.parametrize("cells", [10, 11])
+def test_field_enumeration_refuses_on_the_table_count_before_the_family_walk(monkeypatch, cells):
+    """2 ** (2 ** cells - 1) tables are over the cap, so the disjoint-family walk, which on 11
+    singleton cells passes its own node cap, is never started."""
+    S = _singletons(cells)
+
+    def walk(*args, **kwargs):
+        raise AssertionError("the disjoint-family walk ran")
+
+    monkeypatch.setattr(decisions, "_disjoint_families", walk)
+    with pytest.raises(ResourceLimitError, match="tables per agent exceed the cap of 1000000$"):
+        next(enumerate_decision_profiles(S, 2, kind="field", stp=True))
+
+
 def test_like_minded_gamma_overlap_is_full_event_only(d1):
     shared = set(gamma(d1, "a")) & set(gamma(d1, "b"))
     assert shared == {FULL}

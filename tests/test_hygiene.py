@@ -1,7 +1,7 @@
 """Source hygiene: no `assert` invariants, no random sampling, one canonical layout,
 three constructor bypasses, one maker of provenance labels, one writer per index fact,
-one Sure-Thing Principle test and one disjoint-family walk, and one compile for both
-theorems' entries.
+one Sure-Thing Principle test and one disjoint-family walk, one compile for both
+theorems' entries, and one reader of a caller's field.
 
 ``python -O`` strips ``assert`` statements, so a runtime invariant written as
 one silently disappears; every check the library runs is exact, so it has no
@@ -15,7 +15,8 @@ owns how it is built and keyed, and each agent's successor rows are grouped in
 one place, the ``("rows", agent)`` fact. The principle's per-pair test and the walk
 over disjoint event families are each written once, in ``decisions.py``. Both theorems'
 verdicts read the hypotheses off entries from one branch-free ``agreement._compile``, not
-through the public checks.
+through the public checks. Every entry point that takes a field checks it through
+``decisions._read_field``, so the field rule cannot drift apart between them.
 """
 
 import ast
@@ -191,3 +192,18 @@ def test_both_theorems_read_their_hypotheses_off_one_compile():
     assert len(compile_) == 1
     branches = (ast.If, ast.IfExp, ast.Match, ast.Try, ast.BoolOp)
     assert not [node.lineno for node in ast.walk(compile_[0]) if isinstance(node, branches)]
+
+
+def test_the_field_rule_is_written_only_in_the_field_reader():
+    """The messages of the field rule (not an iterable of events, an empty event, an event over
+    another state) are raised only by ``decisions._read_field``."""
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text("utf-8"), filename=str(path))
+        scopes = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.startswith(
+                    ("field must be an iterable of events", "field events must be non-empty")):
+                found.append((path.name, _innermost(scopes, node), node.value))
+    assert found and {where[:2] for where in found} == {("decisions.py", "_read_field")}
+    assert len(found) == 3

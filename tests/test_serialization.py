@@ -45,6 +45,7 @@ def test_golden_bytes_counterfactual(d1_cf):
 
 
 def test_bundled_fixture_matches_golden(d1):
+    """``d1()`` is parsed from the bundled document, so this is a round trip: its bytes come back."""
     assert d1_document() == serialize_structure(d1)
 
 
