@@ -22,6 +22,15 @@ structure; in theorem1 mode the plan is built from the family's field on each
 call, and nothing is stored. A family is read in one pass over its entries,
 and one that breaks nothing, with every member of the whole group picking
 alike, gets the shared passing verdict without the class loop.
+
+A theorem2 search checks each family on a lean path. Once every agent has a
+stored plan, each table of a family in the enumerator's shape is keyed by its
+agent's plan: the table's size is compared with the domain's and the agent's
+cell count with the cap, then one ``itemgetter`` call reads the actions in
+domain order, and the key fetches the entry. Any other family (another shape,
+an agent with no plan yet, a cap below an agent's cells, a table whose keys
+are not the domain) has every table keyed by ``_table_key``, which validates
+or refuses each one before anything is compiled.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable
 
 from .counterfactual import CounterfactualStructure, build_counterfactual
@@ -117,16 +127,17 @@ class _Compiled:
 def _compile(carrier: InformationStructure, key: tuple[str, ...], plan: tuple) -> _Compiled:
     """One agent's entry on the carrier, read off the table's validated ``key`` through the
     agent's ``plan``: (domain order, principle pairs, (domain position, carrier states) per
-    possibility set, per agent the positions of the events the two share)."""
+    possibility set, per agent the positions of the events the two share, and in theorem2
+    the table reader and cell count of ``_plan``)."""
     agent, row = key[0], key[1:]  # row[p]: the action on the p-th domain event
-    order, pairs, groups, shared_at = plan
+    order, pairs, groups, shared_at, _, _ = plan
     actions = tuple(sorted(set(row)))
     buckets: dict[str, int] = {}  # one OR per possibility set
     for p, mask in groups:
         action = row[p]
         buckets[action] = buckets.get(action, 0) | mask
     masks = tuple([buckets.get(a, 0) for a in actions])
-    return _Compiled(_stp_violations(agent, order, pairs, row).entries, actions, masks,
+    return _Compiled(_stp_violations(agent, order, pairs, row), actions, masks,
                      tuple([tuple([row[p] for p in at]) for at in shared_at]),
                      _picks(carrier._reach_groups(carrier.agents), actions, masks))
 
@@ -144,10 +155,12 @@ def _groups(carrier: InformationStructure, agent: str, at: dict[Event, int]) -> 
 
 def _plan(target: CounterfactualStructure, agent: str, cap: int) -> tuple:
     """The agent's plan for gamma tables on this pairing (see ``_compile``), stored on its
-    first compile, with () for the agent's own shared positions. A possibility set outside
-    the domain raises, and no plan is stored."""
+    first compile, with () for the agent's own shared positions. Its reader gives a table's
+    actions in domain order, in C, and its cell count is compared with the cap on every
+    call, so a stored plan never bypasses a smaller cap. A possibility set outside the
+    domain raises, and no plan is stored."""
     source, carrier = target.origin, target.structure
-    _, order, _, pairs = _closure(source, agent, cap)
+    cells, order, _, pairs = _closure(source, agent, cap)
     groups = _groups(carrier, agent, {event: p for p, event in enumerate(order)})
     agents = carrier.agents
     i = agents.index(agent)
@@ -155,7 +168,9 @@ def _plan(target: CounterfactualStructure, agent: str, cap: int) -> tuple:
     for j, other in enumerate(agents):
         pair, side = ((agent, other), 1) if i < j else ((other, agent), 2)
         shared.append(() if i == j else tuple([fact[side] for fact in _shared_events(source, *pair, cap)]))
-    plan = target._plans[agent] = (order, pairs, groups, tuple(shared))
+    # itemgetter of one key returns the action itself, not a tuple of one
+    read = itemgetter(*order) if len(order) > 1 else lambda table: (table[order[0]],)
+    plan = target._plans[agent] = (order, pairs, groups, tuple(shared), read, len(cells))
     return plan
 
 
@@ -228,10 +243,27 @@ def check_agreement(
         if not isinstance(target, CounterfactualStructure):
             raise InputError("theorem2 mode checks a counterfactual structure")
         source, carrier, field = target.origin, target.structure, ()
-        dfs = _normalize_family(carrier.agents, family, GAMMA_KIND)
-        cap = resolve_max_cells(max_cells)
-        keys = [_table_key(source, df, cap) for df in dfs]  # every table validated before any compile
+        try:  # an explicit cap as a search passes it, else resolved (and refused) by resolve_max_cells
+            cap = max_cells if type(max_cells) is int and max_cells > 0 else resolve_max_cells(max_cells)
+        except InputError:
+            _normalize_family(carrier.agents, family, GAMMA_KIND)  # a malformed family is named first
+            raise
         store, plans = target._compiled, target._plans
+        agents = carrier.agents
+        keys = []  # every table validated before any compile
+        # The enumerator's shape: a tuple, which the full walk below can read again.
+        if type(family) is tuple and len(family) == len(agents):
+            try:  # each table read through its agent's stored plan, if every agent has one
+                for agent, df in zip(agents, family):
+                    order, _, _, _, read, cells = plans[agent]
+                    table = df.table
+                    if df.agent != agent or df.kind != GAMMA_KIND or cells > cap or len(table) != len(order):
+                        break
+                    keys.append((agent,) + read(table))
+            except (AttributeError, KeyError, TypeError):  # no plan yet, a missing event, or not a function
+                pass
+        if len(keys) < len(agents):  # anything else takes the full walk, which reads or refuses each table
+            keys = [_table_key(source, df, cap) for df in _normalize_family(agents, family, GAMMA_KIND)]
     elif mode == MODE_THEOREM1:
         if not isinstance(target, InformationStructure):
             raise InputError("theorem1 mode checks an information structure")
@@ -247,7 +279,8 @@ def check_agreement(
         shared = (tuple(range(len(field))),) * len(carrier.agents)  # field tables share every event
         # Not stored: this is the caller's own structure, where entries would outlive the
         # search, and a like-minded theorem1 stream yields a new shared table for every family.
-        store, plans = {}, {agent: (field, pairs, _groups(carrier, agent, at), shared) for agent in carrier.agents}
+        store, plans = {}, {agent: (field, pairs, _groups(carrier, agent, at), shared, None, 0)
+                            for agent in carrier.agents}
     else:
         raise InputError(f"unknown mode {mode!r}")
 

@@ -55,12 +55,16 @@ class DecisionFunction:
         self.table = normalized
 
     @classmethod
-    def _built(cls, agent: str, kind: str, table: dict[Event, str]) -> DecisionFunction:
-        """A function from parts already normalized: a valid agent and kind,
-        frozenset events and validated actions. Equal to the normal build."""
-        df = cls.__new__(cls)
-        df.agent, df.kind, df.table = agent, kind, table
-        return df
+    def _family(cls, agents: Iterable[str], kind: str, tables: Iterable) -> tuple[DecisionFunction, ...]:
+        """One function per agent from parts already normalized: valid agents and kind, and
+        tables of frozenset events and validated actions, each copied into a new dict (from
+        a mapping or its items). Equal to the normal build."""
+        family = []
+        for agent, table in zip(agents, tables):
+            df = cls.__new__(cls)
+            df.agent, df.kind, df.table = agent, kind, dict(table)
+            family.append(df)
+        return tuple(family)
 
     def actions(self) -> tuple[str, ...]:
         return tuple(sorted(set(self.table.values())))
@@ -223,19 +227,22 @@ def check_stp_gamma(structure: InformationStructure, df: DecisionFunction,
     except AttributeError:
         raise InputError("the Sure-Thing Principle check needs a structure and a decision function") from None
     _, order, _, pairs = _closure(structure, df.agent, max_cells)
-    return _stp_violations(df.agent, order, pairs, key[1:])
+    return ViolationList(entries=_stp_violations(df.agent, order, pairs, key[1:]))
 
 
-def _stp_violations(agent: str, events: Sequence[Event], pairs, actions: Sequence[str]) -> ViolationList:
+def _stp_violations(agent: str, events: Sequence[Event], pairs: Sequence, actions: Sequence[str]
+                    ) -> tuple[Violation, ...]:
     """The principle's violations of one agent's table, ``actions[p]`` being its action on
     ``events[p]``, in the order of ``pairs``."""
+    if _first_break(pairs, actions) is None:  # one pass over a table that breaks nothing, the usual one
+        return ()
     pairs = iter(pairs)  # one iterator, so that each search resumes after the last break
     entries = []
     while (found := _first_break(pairs, actions)) is not None:
         members, union = found
         entries.append(Violation(kind="stp", agents=(agent,), events=tuple(events[k] for k in members),
                                  union_event=events[union], expected=actions[members[0]], actual=actions[union]))
-    return ViolationList(entries=tuple(entries))
+    return tuple(entries)
 
 
 def _first_break(pairs, actions: Sequence[str]) -> tuple[tuple[int, ...], int] | None:
@@ -328,7 +335,8 @@ def check_stp_field(field: Iterable[Event], df: DecisionFunction) -> ViolationLi
         raise InputError("field must contain at least one event")
     if df.table.keys() != set(events):
         raise InputError(f"field decision table for agent {df.agent!r} must be total on the field exactly")
-    return _stp_violations(df.agent, events, _disjoint_families(masks), [df.table[e] for e in events])
+    return ViolationList(entries=_stp_violations(df.agent, events, _disjoint_families(masks),
+                                                 [df.table[e] for e in events]))
 
 
 def complete_stp_field(field: Iterable[Event], table: Mapping[Event, str]) -> dict[Event, str]:
@@ -543,17 +551,23 @@ def _join_steps(structure: InformationStructure, agents: tuple[str, ...],
 def _join(steps: list[tuple], prefix: tuple[dict[Event, str], ...]) -> Iterator[tuple[dict[Event, str], ...]]:
     """Every like-minded extension of ``prefix`` by one table per remaining agent, in
     product order: each agent reads only the bucket its prefix's shared values select.
+    The last agent's bucket is read in the level before it, one generator fewer per family.
 
     At module level, not a closure: a generator that names itself through a closure
     cell is a reference cycle, and keeps every table alive until a full collection.
     """
     probes, buckets = steps[len(prefix)]
-    last = len(prefix) + 1 == len(steps)
-    for table in buckets.get(tuple(prefix[j][e] for j, e in probes), ()):
-        if last:
-            yield prefix + (table,)
+    rest = len(steps) - len(prefix) - 1  # the agents after this one
+    for table in buckets.get(tuple([prefix[j][e] for j, e in probes]), ()):
+        head = prefix + (table,)
+        if rest == 0:
+            yield head
+        elif rest == 1:
+            last_probes, last_buckets = steps[-1]
+            for last in last_buckets.get(tuple([head[j][e] for j, e in last_probes]), ()):
+                yield head + (last,)
         else:
-            yield from _join(steps, prefix + (table,))
+            yield from _join(steps, head)
 
 
 def enumerate_decision_profiles(
@@ -602,8 +616,9 @@ def enumerate_decision_profiles(
             raise ResourceLimitError(f"{_count_text(total)} families exceed the cap of {_count_text(max_families)}")
         combos = (_join(_join_steps(structure, agents, per_agent, max_cells), ()) if like_minded
                   else itertools.product(*per_agent))
+        family = DecisionFunction._family
         for combo in combos:
-            yield tuple([DecisionFunction._built(a, GAMMA_KIND, dict(t)) for a, t in zip(agents, combo)])
+            yield family(agents, GAMMA_KIND, combo)
         return
 
     if kind != FIELD_KIND:
@@ -622,12 +637,14 @@ def enumerate_decision_profiles(
         combos = itertools.filterfalse(functools.partial(_first_break, families_idx), combos)
     if like_minded:
         for combo in combos:
-            table = dict(zip(domain, combo))
-            yield tuple(DecisionFunction._built(a, FIELD_KIND, dict(table)) for a in agents)
+            yield DecisionFunction._family(agents, FIELD_KIND, [dict(zip(domain, combo))] * len(agents))
         return
-    combos = list(combos)
-    total = len(combos) ** len(agents)
+    per_agent = count_one  # without the principle every table is kept, so the total is known before any is listed
+    if stp:
+        combos = list(combos)
+        per_agent = len(combos)
+    total = per_agent ** len(agents)
     if total > max_families:
         raise ResourceLimitError(f"{_count_text(total)} families exceed the cap of {_count_text(max_families)}")
     for chosen in itertools.product(combos, repeat=len(agents)):
-        yield tuple(DecisionFunction._built(a, FIELD_KIND, dict(zip(domain, c))) for a, c in zip(agents, chosen))
+        yield DecisionFunction._family(agents, FIELD_KIND, [zip(domain, c) for c in chosen])

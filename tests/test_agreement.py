@@ -6,6 +6,7 @@ import itertools
 import json
 import os
 import random
+import sys
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -1119,17 +1120,132 @@ def test_exhaustive_search_makes_the_pinned_checks(monkeypatch):
 
 def test_fresh_search_keys_each_table_once_per_family(monkeypatch):
     calls = Counter()
-    table_key = decisions._table_key
+    table_key, plan, compile_table = decisions._table_key, agreement._plan, agreement._compile
 
     def counting(*args):
         calls["keys"] += 1
         return table_key(*args)
 
+    def counting_plan(target, agent, cap):  # once an agent has a plan, its tables are read by the plan's reader
+        order, pairs, groups, shared, read, cells = plan(target, agent, cap)
+
+        def counting_read(table):
+            calls["keys"] += 1
+            return read(table)
+
+        stored = target._plans[agent] = (order, pairs, groups, shared, counting_read, cells)
+        return stored
+
+    def counting_compile(*args):
+        calls["compiles"] += 1
+        return compile_table(*args)
+
     for module in (decisions, agreement):
         monkeypatch.setattr(module, "_table_key", counting)
+    monkeypatch.setattr(agreement, "_plan", counting_plan)
+    monkeypatch.setattr(agreement, "_compile", counting_compile)
     assert search_disagreement(make_d1(), 3) is None
     # two tables in each of 6,825 families; compiling the 996 distinct ones keys none again
     assert calls["keys"] == 2 * 6825 == 13650
+    assert calls["compiles"] == 996
+
+
+def test_a_mutated_family_changes_no_later_yield_and_is_checked_as_mutated():
+    """Each yield holds fresh functions and fresh table dicts, and each check reads the tables
+    as they are: damaging a yielded family, after its agents' plans and entries are stored,
+    leaves every later family as a fresh enumeration yields it."""
+    source = make_d1()
+    built = build_counterfactual(source)
+    want = [[(df.agent, df.kind, dict(df.table)) for df in family]
+            for family in enumerate_decision_profiles(source, 3, stp=True, like_minded=True)]
+    seen = Counter()
+    for k, family in enumerate(enumerate_decision_profiles(source, 3, stp=True, like_minded=True)):
+        assert [(df.agent, df.kind, df.table) for df in family] == want[k]
+        assert check_agreement(built, family).passed
+        if k % 97:
+            continue
+        a, b = family
+        event = gamma(source, "b")[k % 7]
+        b.table[event] = "1" if b.table[event] == "0" else "0"  # one event's action set
+        got = check_agreement(built, family)
+        assert got == check_agreement_reference(built, family)
+        seen["stp broken"] += not got.hypotheses_met
+        del a.table[gamma(source, "a")[k % 3]]  # one event deleted
+        with pytest.raises(InputError) as expected:
+            check_agreement_reference(built, family)
+        with pytest.raises(InputError) as err:
+            check_agreement(built, family)
+        assert str(err.value) == str(expected.value) and "missing [" in str(err.value)
+    assert k + 1 == len(want) == 6825 and seen["stp broken"]
+
+
+@pytest.mark.parametrize("via_env", [False, True])
+def test_a_warm_search_leaves_every_check_bound_by_a_smaller_cap(via_env, monkeypatch):
+    """Once every agent has a stored plan, a cap below agent b's 3 cells still refuses the
+    family, with the error a pairing that has checked nothing gives."""
+    built, cold = build_counterfactual(make_d1()), build_counterfactual(make_d1())
+    assert search_disagreement(built, 3) is None
+    assert set(built._plans) == {"a", "b"}
+    family = next(enumerate_decision_profiles(built.origin, 3, stp=True, like_minded=True))
+    if via_env:
+        monkeypatch.setenv("EPISTEMIC_MAX_CELLS", "2")
+    errors = []
+    for target in (built, cold, built):
+        with pytest.raises(ResourceLimitError) as err:
+            check_agreement(target, family, **({} if via_env else {"max_cells": 2}))
+        errors.append(str(err.value))
+    assert errors[0] == errors[1] == errors[2] and "'b' has 3 partition cells, above the cap of 2" in errors[0]
+
+
+@pytest.mark.parametrize("cap, env", [(0, None), ("3", None), (True, None), (None, "zz"), (None, "0")])
+def test_a_malformed_family_is_named_before_a_malformed_cap(cap, env, monkeypatch):
+    built = build_counterfactual(make_d1())
+    assert search_disagreement(built, 2) is None  # warm: every agent has a stored plan
+    family = next(enumerate_decision_profiles(built.origin, 2))
+    if env is not None:
+        monkeypatch.setenv("EPISTEMIC_MAX_CELLS", env)
+    for bad, message in ((family[:1], "exactly one function per agent"),
+                         ((family[0], DecisionFunction("b", "field", {})), "mode expects gamma-kind")):
+        with pytest.raises(InputError, match=message):
+            check_agreement(built, bad, max_cells=cap)
+    with pytest.raises(InputError, match="cap|EPISTEMIC_MAX_CELLS"):
+        check_agreement(built, family, max_cells=cap)
+
+
+def _call_events(step, *args, **kwargs):
+    """The Python-level function calls (``sys.setprofile`` "call" events) that ``step`` makes,
+    by function name; a generator resumed counts as one call."""
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        step(*args, **kwargs)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_per_family_path_stays_within_its_call_budget():
+    """A warm theorem2 check of a clean d1 family makes at most two Python-level calls, and one
+    enumerator yield at most three: counted, not timed, so the budget holds on a noisy host.
+    Before the stored plans read each table, the check made 10 and the yield 6."""
+    source = make_d1()
+    built = build_counterfactual(source)
+    stream = enumerate_decision_profiles(source, 3, stp=True, like_minded=True)
+    family = next(stream)
+    cap = partitions.resolve_max_cells()
+    check_agreement(built, family, max_cells=cap)  # plans and entries stored
+    calls = _call_events(check_agreement, built, family, max_cells=cap)
+    assert sum(calls.values()) <= 2, calls  # check_agreement, _like_minded
+    verdict = check_agreement(built, family, max_cells=cap)
+    assert verdict is agreement._passed("theorem2", ("a", "b"), 1)  # clean: the shared passing verdict
+    next(stream)  # the join's buckets are built on the first yield
+    calls = _call_events(next, stream)
+    assert sum(calls.values()) <= 3, calls  # the enumerator, _join, DecisionFunction._family
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import gc
 import itertools
 import random
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -451,6 +452,30 @@ def test_field_enumeration_refuses_on_the_table_count_before_the_family_walk(mon
     monkeypatch.setattr(decisions, "_disjoint_families", walk)
     with pytest.raises(ResourceLimitError, match="tables per agent exceed the cap of 1000000$"):
         next(enumerate_decision_profiles(S, 2, kind="field", stp=True))
+
+
+def test_field_enumeration_without_the_principle_refuses_on_the_family_total_before_listing(d1):
+    """Without the principle every table is kept, so the family total is known from the table
+    count: 2 agents with 2 ** 19 tables each give 2 ** 38 families, over the cap, refused
+    before any of the 524,288 tables (about 100 MB) is listed."""
+    states = [f"s{k}" for k in range(5)]
+    S = InformationStructure(states, ["a", "b"], {a: equivalence_pairs([[s] for s in states]) for a in "ab"})
+    field = [frozenset(c) for r in range(1, 4) for c in itertools.combinations(states, r)][:19]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError) as err:
+            next(enumerate_decision_profiles(S, 2, kind="field", field=field))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "274877906944 families exceed the cap of 1000000"
+    assert peak < 2 ** 20
+    # with the principle the total is read off the kept tables, as before: 2 ** 3 tables over 3 events
+    field = [ev("w0"), ev("w1"), ev("w0", "w1")]
+    with pytest.raises(ResourceLimitError, match="^64 families exceed the cap of 63$"):
+        next(enumerate_decision_profiles(d1, 2, kind="field", field=field, max_families=63))
+    with pytest.raises(ResourceLimitError, match="^36 families exceed the cap of 35$"):
+        next(enumerate_decision_profiles(d1, 2, kind="field", field=field, stp=True, max_families=35))
 
 
 def test_like_minded_gamma_overlap_is_full_event_only(d1):

@@ -73,7 +73,7 @@ def test_new_is_called_only_by_the_two_checked_parts_entry_points():
                 callers.append((path.name, ".".join(s.name for s in sorted(around, key=lambda s: s.lineno))))
     assert sorted(callers) == [
         ("counterfactual.py", "CounterfactualStructure._from_labels"),
-        ("decisions.py", "DecisionFunction._built"),
+        ("decisions.py", "DecisionFunction._family"),
         ("structures.py", "InformationStructure._from_rows"),
     ]
 
