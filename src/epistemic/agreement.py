@@ -17,25 +17,31 @@ The hypotheses (Sure-Thing Principle and like-mindedness) are carried on the
 verdict; a family that fails them is still checked. In both modes both checks,
 and each table's action on every reach class of the whole agent set, are read
 off one entry per table, compiled from the table's key through a per-agent
-plan. In theorem2 mode plan and entries are built once per counterfactual
-structure; in theorem1 mode the plan is built from the family's field on each
-call, and nothing is stored. A family is read in one pass over its entries,
-and one that breaks nothing, with every member of the whole group picking
-alike, gets the shared passing verdict without the class loop.
+plan. In theorem1 mode the plan is built from the family's field on each call,
+and nothing is stored.
 
-A theorem2 search checks each family on a lean path. Once every agent has a
-stored plan, each table of a family in the enumerator's shape is keyed by its
-agent's plan: the table's size is compared with the domain's and the agent's
-cell count with the cap, then one ``itemgetter`` call reads the actions in
-domain order, and the key fetches the entry. Any other family (another shape,
-an agent with no plan yet, a cap below an agent's cells, a table whose keys
-are not the domain) has every table keyed by ``_table_key``, which validates
-or refuses each one before anything is compiled.
+In theorem2 mode a counterfactual structure keeps one prepared reader, made on
+its first theorem2 check. It holds a slot per agent, added on the agent's first
+compile: the agent, an ``itemgetter`` that reads a table's actions in domain
+order (the table's row), the domain size, the cell count, the compile plan and
+the agent's entries by row. Once every agent has a slot, a family in the
+enumerator's shape costs one loop over (slot, function) pairs: agent, kind,
+table size and the cap against the cell count are compared, the row is read
+and its entry fetched, or compiled on first sight. Any other family (another
+shape, an agent with no slot yet, a cap below an agent's cells, a table whose
+keys are not the domain) takes the full walk: ``_table_key`` validates or
+refuses every table before anything is compiled, so errors keep their order.
+
+A family of the whole group whose entries break nothing and are like-minded
+is decided off its entries' picks: unless some reach class has every member
+picking, the picks not all alike, it gets the reader's shared passing verdict
+for its profile count. That answer is kept per combination of pick tuples, so
+the class loop runs only for a family that can have a violation.
 """
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 from dataclasses import dataclass
 from operator import itemgetter
@@ -127,10 +133,10 @@ class _Compiled:
 def _compile(carrier: InformationStructure, key: tuple[str, ...], plan: tuple) -> _Compiled:
     """One agent's entry on the carrier, read off the table's validated ``key`` through the
     agent's ``plan``: (domain order, principle pairs, (domain position, carrier states) per
-    possibility set, per agent the positions of the events the two share, and in theorem2
-    the table reader and cell count of ``_plan``)."""
+    possibility set, per agent a reader of the actions on the events the two share, the
+    reach classes of all agents)."""
     agent, row = key[0], key[1:]  # row[p]: the action on the p-th domain event
-    order, pairs, groups, shared_at, _, _ = plan
+    order, pairs, groups, shared, classes = plan
     actions = tuple(sorted(set(row)))
     buckets: dict[str, int] = {}  # one OR per possibility set
     for p, mask in groups:
@@ -138,8 +144,7 @@ def _compile(carrier: InformationStructure, key: tuple[str, ...], plan: tuple) -
         buckets[action] = buckets.get(action, 0) | mask
     masks = tuple([buckets.get(a, 0) for a in actions])
     return _Compiled(_stp_violations(agent, order, pairs, row), actions, masks,
-                     tuple([tuple([row[p] for p in at]) for at in shared_at]),
-                     _picks(carrier._reach_groups(carrier.agents), actions, masks))
+                     tuple([read(row) for read in shared]), _picks(classes, actions, masks))
 
 
 def _groups(carrier: InformationStructure, agent: str, at: dict[Event, int]) -> tuple[tuple[int, int], ...]:
@@ -153,12 +158,26 @@ def _groups(carrier: InformationStructure, agent: str, at: dict[Event, int]) -> 
     return tuple(groups)
 
 
-def _plan(target: CounterfactualStructure, agent: str, cap: int) -> tuple:
-    """The agent's plan for gamma tables on this pairing (see ``_compile``), stored on its
-    first compile, with () for the agent's own shared positions. Its reader gives a table's
-    actions in domain order, in C, and its cell count is compared with the cap on every
-    call, so a stored plan never bypasses a smaller cap. A possibility set outside the
-    domain raises, and no plan is stored."""
+class _Reader:
+    """A pairing's theorem2 reader (see the module docstring). ``slots``: one per agent in
+    agent order, (agent, row reader, domain size, cell count, plan, entries by row).
+    ``pairs``: the (i, j) agent positions, i before j, that like-mindedness compares.
+    ``passed``: the whole group's passing verdict per profile count. ``apart``: ``_apart``
+    per combination of pick tuples. ``slots`` is a tuple, replaced by a longer one, so two
+    threads that race to add a slot leave equal slots in agent order."""
+
+    __slots__ = ("slots", "pairs", "passed", "apart")
+
+    def __init__(self, agents: int):
+        self.slots: tuple[tuple, ...] = ()
+        self.pairs = tuple(itertools.combinations(range(agents), 2))
+        self.passed: dict[int, AgreementVerdict] = {}
+        self.apart: dict[tuple, bool] = {}
+
+
+def _slot(target: CounterfactualStructure, agent: str, cap: int) -> tuple:
+    """The agent's slot on the pairing's reader (see ``_Reader``). Its plan reads each other
+    agent's shared events through one reader. A possibility set outside the domain raises."""
     source, carrier = target.origin, target.structure
     cells, order, _, pairs = _closure(source, agent, cap)
     groups = _groups(carrier, agent, {event: p for p, event in enumerate(order)})
@@ -167,11 +186,13 @@ def _plan(target: CounterfactualStructure, agent: str, cap: int) -> tuple:
     shared = []  # read at the ("shared", i, j) positions, i before j in agent order
     for j, other in enumerate(agents):
         pair, side = ((agent, other), 1) if i < j else ((other, agent), 2)
-        shared.append(() if i == j else tuple([fact[side] for fact in _shared_events(source, *pair, cap)]))
-    # itemgetter of one key returns the action itself, not a tuple of one
-    read = itemgetter(*order) if len(order) > 1 else lambda table: (table[order[0]],)
-    plan = target._plans[agent] = (order, pairs, groups, tuple(shared), read, len(cells))
-    return plan
+        at = [] if i == j else [fact[side] for fact in _shared_events(source, *pair, cap)]
+        # a reader in C that gives a tuple: of one position or none it reads a slice, since
+        # itemgetter of one key returns the action itself
+        shared.append(itemgetter(*at) if len(at) > 1 else itemgetter(slice(at[0], at[0] + 1) if at else slice(0)))
+    read = itemgetter(*order) if len(order) > 1 else lambda table: (table[order[0]],)  # of one key, the action
+    plan = (order, pairs, groups, tuple(shared), carrier._reach_groups(agents))
+    return agent, read, len(order), len(cells), plan, {}
 
 
 def _picks(classes: tuple[tuple[int, int], ...], actions: tuple[str, ...],
@@ -189,20 +210,10 @@ def _picks(classes: tuple[tuple[int, int], ...], actions: tuple[str, ...],
     return tuple(picks)
 
 
-def _like_minded(entries: list[_Compiled]) -> bool:
-    """Whether every two agents' entries take the same actions on the events they share."""
-    for j in range(1, len(entries)):
-        row = entries[j].shared
-        for i in range(j):
-            if entries[i].shared[j] != row[i]:
-                return False
-    return True
-
-
-@functools.lru_cache(maxsize=64)  # bounded: one per (mode, group, profile count) met
-def _passed(mode: str, group: tuple[str, ...], profiles: int) -> AgreementVerdict:
-    """The verdict of a family with no violation whose hypotheses hold; frozen, so shared."""
-    return AgreementVerdict(mode, group, profiles, (), _HYPOTHESES_MET)
+def _apart(picks: tuple[tuple[str | None, ...], ...]) -> bool:
+    """Whether some reach class has every member picking, the picks not all alike: the only
+    classes that can fix a violation."""
+    return any(None not in profile and profile.count(profile[0]) < len(profile) for profile in zip(*picks))
 
 
 def _normalize_family(
@@ -239,6 +250,7 @@ def check_agreement(
     non-constant profile has an empty common-belief event. ``max_cells`` is the
     cell cap of the theorem2 hypothesis checks, resolved once per call.
     """
+    reader = None
     if mode == MODE_THEOREM2:
         if not isinstance(target, CounterfactualStructure):
             raise InputError("theorem2 mode checks a counterfactual structure")
@@ -248,22 +260,40 @@ def check_agreement(
         except InputError:
             _normalize_family(carrier.agents, family, GAMMA_KIND)  # a malformed family is named first
             raise
-        store, plans = target._compiled, target._plans
+        reader = target._compiled
         agents = carrier.agents
-        keys = []  # every table validated before any compile
-        # The enumerator's shape: a tuple, which the full walk below can read again.
-        if type(family) is tuple and len(family) == len(agents):
-            try:  # each table read through its agent's stored plan, if every agent has one
-                for agent, df in zip(agents, family):
-                    order, _, _, _, read, cells = plans[agent]
+        compiled, keys = [], None
+        # The enumerator's shape, once every agent has a slot: a tuple, which the full walk
+        # below can read again. A slot's entries are all compiled, so none can raise here.
+        if reader is not None and type(family) is tuple and len(family) == len(reader.slots) == len(agents):
+            try:
+                for (agent, read, size, cells, plan, store), df in zip(reader.slots, family):
                     table = df.table
-                    if df.agent != agent or df.kind != GAMMA_KIND or cells > cap or len(table) != len(order):
+                    if df.agent != agent or df.kind != GAMMA_KIND or len(table) != size or cells > cap:
                         break
-                    keys.append((agent,) + read(table))
-            except (AttributeError, KeyError, TypeError):  # no plan yet, a missing event, or not a function
+                    row = read(table)
+                    entry = store.get(row)
+                    if entry is None:  # compiled once per table, off its key
+                        entry = store[row] = _compile(carrier, (agent, *row), plan)
+                    compiled.append(entry)
+            except (AttributeError, KeyError, TypeError):  # a missing event, or not a function
                 pass
-        if len(keys) < len(agents):  # anything else takes the full walk, which reads or refuses each table
+        if len(compiled) < len(agents):  # anything else takes the full walk, which reads or refuses each table
             keys = [_table_key(source, df, cap) for df in _normalize_family(agents, family, GAMMA_KIND)]
+            if reader is None:
+                reader = _Reader(len(agents))
+                object.__setattr__(target, "_compiled", reader)  # the pairing is otherwise read-only
+            compiled = []
+            for k, key in enumerate(keys):  # each entry compiled on first use; a raise stores nothing
+                slots = reader.slots
+                if k == len(slots):  # each agent's slot is made on its first compile, in agent order
+                    slots = reader.slots = slots + (_slot(target, key[0], cap),)
+                plan, store = slots[k][4:]
+                row = key[1:]
+                entry = store.get(row)
+                if entry is None:
+                    entry = store[row] = _compile(carrier, key, plan)
+                compiled.append(entry)
     elif mode == MODE_THEOREM1:
         if not isinstance(target, InformationStructure):
             raise InputError("theorem1 mode checks an information structure")
@@ -276,77 +306,94 @@ def check_agreement(
             raise InputError("field must contain at least one event")
         pairs = _disjoint_families(masks)
         at = {event: p for p, event in enumerate(field)}
-        shared = (tuple(range(len(field))),) * len(carrier.agents)  # field tables share every event
+        shared = (tuple,) * len(carrier.agents)  # field tables share every event: each reads the whole row
+        classes = carrier._reach_groups(carrier.agents)
         # Not stored: this is the caller's own structure, where entries would outlive the
         # search, and a like-minded theorem1 stream yields a new shared table for every family.
-        store, plans = {}, {agent: (field, pairs, _groups(carrier, agent, at), shared, None, 0)
-                            for agent in carrier.agents}
+        compiled = [_compile(carrier, key, (field, pairs, _groups(carrier, key[0], at), shared, classes))
+                    for key in keys]
     else:
         raise InputError(f"unknown mode {mode!r}")
 
-    compiled = []
     profiles = 1
-    clean = True  # no entry breaks the principle, and every entry picks as the first does
-    for key in keys:  # each entry compiled on first use; a raise stores nothing
-        entry = store.get(key)
-        if entry is None:  # a theorem1 call holds every agent's plan; a pairing builds each on first use
-            entry = store[key] = _compile(carrier, key, plans.get(key[0]) or _plan(target, key[0], cap))
-        compiled.append(entry)
+    clean = True  # no entry breaks the principle
+    picks = []
+    for entry in compiled:
         profiles *= len(entry.actions)
-        if entry.stp or entry.picks != compiled[0].picks:
+        picks.append(entry.picks)
+        if entry.stp:
             clean = False
     members = carrier.agents if group is None else carrier._group(group)
-    like_minded = _like_minded(compiled)
-    if clean and like_minded and members == carrier.agents:  # nothing to report: one shared verdict
-        return _passed(mode, members, profiles)
+    like_minded = True  # every two agents' entries take the same actions on the events they share
+    for i, j in reader.pairs if reader is not None else itertools.combinations(range(len(compiled)), 2):
+        if compiled[i].shared[j] != compiled[j].shared[i]:
+            like_minded = False
+            break
+    if reader is not None and clean and like_minded and members == carrier.agents:
+        apart = reader.apart.get(picks := tuple(picks))
+        if apart is None:
+            apart = reader.apart[picks] = _apart(picks)
+        if not apart:  # no class fixes a non-constant profile: the shared passing verdict
+            verdict = reader.passed.get(profiles)
+            if verdict is None:
+                verdict = reader.passed[profiles] = AgreementVerdict(mode, members, profiles, (), _HYPOTHESES_MET)
+            return verdict
+    if not like_minded and keys is None:  # read through the slots, which keyed no table
+        keys = [(slot[0], *slot[1](df.table)) for slot, df in zip(reader.slots, family)]
     hyp = [] if like_minded else list(_disagreements(keys, source, cap, field))
     for entry in compiled:
         hyp.extend(entry.stp)
 
     if members == carrier.agents:
         entries = compiled  # already in agent order, and their picks are this group's
-        picks = [e.picks for e in entries]
     else:
         by_agent = dict(zip(carrier.agents, compiled))
         entries = [by_agent[a] for a in members]
         picks = [_picks(carrier._reach_groups(members), e.actions, e.masks) for e in entries]
         profiles = math.prod([len(e.actions) for e in entries])
-    violations: list[AgreementViolation] = []
-    if picks.count(picks[0]) < len(picks):  # members that pick alike on every class never disagree
-        # A class commonly believes a profile's agreement event when its reach lies inside it. No
-        # reach is empty: _compile found every member a decision at every state, and the empty
-        # event is in no decision domain.
-        fixed: dict[tuple[str, ...], int] = {}
-        for (_, states), profile in zip(carrier._reach_groups(members), zip(*picks)):
-            if None not in profile:
-                fixed[profile] = fixed.get(profile, 0) | states
-        for profile, cb in sorted(fixed.items()):  # each member's actions are sorted, so this is product order
-            if len(set(profile)) == 1:
-                continue
-            agreement = carrier._full
-            for e, action in zip(entries, profile):
-                agreement &= e.masks[e.actions.index(action)]
-            agreement_event = carrier._unmask(agreement)
-            violations.append(
-                AgreementViolation(
-                    profile=tuple(zip(members, profile)),
-                    witness=carrier.states[(cb & -cb).bit_length() - 1],
-                    agreement_event=agreement_event,
-                    common_belief_event=carrier._unmask(cb),
-                    agreement_event_actual=(
-                        agreement_event & target.actual if mode == MODE_THEOREM2 else None
-                    ),
-                )
-            )
-    if not violations and not hyp:
-        return _passed(mode, members, profiles)
+    # members that pick alike on every class never disagree
+    violations = () if picks.count(picks[0]) == len(picks) else _violations(
+        carrier, members, entries, picks, target.actual if mode == MODE_THEOREM2 else None)
     return AgreementVerdict(
         mode=mode,
         group=members,
         profiles_checked=profiles,
-        violations=tuple(violations),
+        violations=violations,
         hypothesis_violations=ViolationList(entries=tuple(hyp)) if hyp else _HYPOTHESES_MET,
     )
+
+
+def _violations(carrier: InformationStructure, members: tuple[str, ...], entries: list[_Compiled],
+                picks: list[tuple[str | None, ...]], actual: Event | None) -> tuple[AgreementViolation, ...]:
+    """The group's violations, in profile order: each non-constant profile that a reach class
+    fixes, commonly believed on the states of every class that fixes it. ``picks`` holds each
+    member's picks on the group's classes, and ``actual`` is the pairing's actual states, or
+    None in theorem1.
+
+    A class commonly believes a profile's agreement event when its reach lies inside it. No
+    reach is empty: _compile found every member a decision at every state, and the empty event
+    is in no decision domain.
+    """
+    fixed: dict[tuple[str, ...], int] = {}
+    for (_, states), profile in zip(carrier._reach_groups(members), zip(*picks)):
+        if None not in profile:
+            fixed[profile] = fixed.get(profile, 0) | states
+    violations = []
+    for profile, cb in sorted(fixed.items()):  # each member's actions are sorted, so this is product order
+        if len(set(profile)) == 1:
+            continue
+        agreement = carrier._full
+        for e, action in zip(entries, profile):
+            agreement &= e.masks[e.actions.index(action)]
+        agreement_event = carrier._unmask(agreement)
+        violations.append(AgreementViolation(
+            profile=tuple(zip(members, profile)),
+            witness=carrier.states[(cb & -cb).bit_length() - 1],
+            agreement_event=agreement_event,
+            common_belief_event=carrier._unmask(cb),
+            agreement_event_actual=None if actual is None else agreement_event & actual,
+        ))
+    return tuple(violations)
 
 
 def search_disagreement(
@@ -365,7 +412,8 @@ def search_disagreement(
     Constraints that are not relaxed are enforced during enumeration, so with
     ``relax`` empty this is an exhaustive confirmation that no family can
     produce a commonly-believed disagreement. The first witness in enumeration
-    order is returned.
+    order is returned. ``mode`` None means theorem2; ``field`` is read only in
+    theorem1 mode.
     """
     try:
         relax_set = frozenset(relax)
@@ -385,7 +433,8 @@ def search_disagreement(
         source, built = target, None
     else:
         raise InputError("search needs an information structure or a counterfactual structure")
-    mode = mode or MODE_THEOREM2
+    if mode is None:  # only None means the default: "", [] or 0 is an unknown mode
+        mode = MODE_THEOREM2
     if mode == MODE_THEOREM2:
         if built is None:
             built = build_counterfactual(source, max_cells=max_cells)

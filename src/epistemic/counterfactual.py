@@ -68,7 +68,7 @@ class CounterfactualStructure:
     :func:`verify_counterfactual`.
     """
 
-    __slots__ = ("structure", "actual", "origin", "_by_triple", "_events", "_labels", "_compiled", "_plans")
+    __slots__ = ("structure", "actual", "origin", "_by_triple", "_events", "_labels", "_compiled")
 
     def __init__(
         self,
@@ -114,11 +114,10 @@ class CounterfactualStructure:
         store(self, "_by_triple", table)
         store(self, "_events", events)
         store(self, "_labels", None)
-        # check_agreement's compiled gamma tables, keyed by decisions._table_key, and the per-agent
-        # plans they are read with: both read the carrier's states and the origin's decision
-        # domains, so they belong to this pairing.
-        store(self, "_compiled", {})
-        store(self, "_plans", {})
+        # check_agreement's theorem2 reader, made on the first theorem2 check: its per-agent plans
+        # and compiled gamma tables read the carrier's states and the origin's decision domains,
+        # so they belong to this pairing.
+        store(self, "_compiled", None)
 
         state_set = set(structure.states)
         if not actual <= state_set:

@@ -588,6 +588,7 @@ def enumerate_decision_profiles(
     action). The count of constrained families equals what filtering the
     unconstrained stream would produce. A cap bounds the work; exceeding it
     raises :class:`ResourceLimitError` rather than truncating silently.
+    ``field`` is read only for field kind (the power set when None).
     """
     if not _is_count(max_families):
         raise InputError(f"family cap must be an integer, got {max_families!r}")
@@ -603,6 +604,8 @@ def enumerate_decision_profiles(
                                  f"{_count_text(max_families)} tables")
     agents = structure.agents
     if kind == GAMMA_KIND:
+        if field is not None:  # a gamma table's domain is its agent's union closure
+            raise InputError(f"a field is read only for {FIELD_KIND}-kind decision functions, not {GAMMA_KIND}-kind")
         for a in agents:
             _check_table_count(structure, a, count, stp, max_families, max_cells)
         acts = acts or normalize_actions(actions)

@@ -632,8 +632,14 @@ def test_replay_uses_the_search_cell_cap(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def _entries(built):
+    """The pairing's compiled entries by key, (agent, *row), in agent order, then compile order."""
+    reader = built._compiled
+    return {} if reader is None else {(slot[0], *row): entry for slot in reader.slots for row, entry in slot[5].items()}
+
+
 def _compiled_keys(built):
-    return list(built._compiled)
+    return list(_entries(built))
 
 
 def _relaxed_families(source, count):
@@ -805,7 +811,7 @@ def test_compiled_entries_are_immutable():
     built = build_counterfactual(make_d1())
     for family in enumerate_decision_profiles(built.origin, 2):
         check_agreement(built, family)
-    entries = list(built._compiled.values())
+    entries = list(_entries(built).values())
     assert len(entries) == 8 + 128  # every table of a and of b
     for entry in entries:
         assert all(type(field) is tuple for field in (entry.stp, entry.actions, entry.masks))
@@ -912,8 +918,9 @@ def _every_entry_matches_the_reference(built, actions):
         for combo in itertools.product(acts, repeat=len(domain)):
             df = gamma_df(agent, dict(zip(domain, combo)))
             check_agreement(built, tuple(df if a == agent else constant[a] for a in origin.agents))
-            assert built._compiled[(agent, *combo)] == compile_reference(built, df)
-    return len(built._compiled)
+            store = next(slot[5] for slot in built._compiled.slots if slot[0] == agent)
+            assert store[combo] == compile_reference(built, df)
+    return len(_entries(built))
 
 
 @pytest.mark.parametrize("actions", [1, 2, 3])
@@ -948,7 +955,7 @@ def test_seeded_entries_and_verdicts_match_the_references():
             seen += _cross_check(built, families, [None], compile_table)
             seen += _cross_check(built, families[::-(-len(families) // 60)], groups[1:], compile_table)
             seen[f"{len(S.agents)} agents"] += 1
-        for key, entry in built._compiled.items():
+        for key, entry in _entries(built).items():
             assert entry == compile_reference(built, gamma_df(key[0], dict(zip(gamma(S, key[0]), key[1:]))))
     assert seen["2 agents"] and seen["3 agents"] and seen["met"] and seen["violations on classes no entry holds"]
 
@@ -1120,21 +1127,20 @@ def test_exhaustive_search_makes_the_pinned_checks(monkeypatch):
 
 def test_fresh_search_keys_each_table_once_per_family(monkeypatch):
     calls = Counter()
-    table_key, plan, compile_table = decisions._table_key, agreement._plan, agreement._compile
+    table_key, make_slot, compile_table = decisions._table_key, agreement._slot, agreement._compile
 
     def counting(*args):
         calls["keys"] += 1
         return table_key(*args)
 
-    def counting_plan(target, agent, cap):  # once an agent has a plan, its tables are read by the plan's reader
-        order, pairs, groups, shared, read, cells = plan(target, agent, cap)
+    def counting_slot(target, agent, cap):  # once every agent has a slot, its tables are read by the slot's reader
+        name, read, *rest = make_slot(target, agent, cap)
 
         def counting_read(table):
             calls["keys"] += 1
             return read(table)
 
-        stored = target._plans[agent] = (order, pairs, groups, shared, counting_read, cells)
-        return stored
+        return name, counting_read, *rest
 
     def counting_compile(*args):
         calls["compiles"] += 1
@@ -1142,12 +1148,85 @@ def test_fresh_search_keys_each_table_once_per_family(monkeypatch):
 
     for module in (decisions, agreement):
         monkeypatch.setattr(module, "_table_key", counting)
-    monkeypatch.setattr(agreement, "_plan", counting_plan)
+    monkeypatch.setattr(agreement, "_slot", counting_slot)
     monkeypatch.setattr(agreement, "_compile", counting_compile)
     assert search_disagreement(make_d1(), 3) is None
     # two tables in each of 6,825 families; compiling the 996 distinct ones keys none again
     assert calls["keys"] == 2 * 6825 == 13650
     assert calls["compiles"] == 996
+
+
+def _counting(calls, owner, names, monkeypatch):
+    """Count each call of ``owner``'s functions ``names`` in ``calls``."""
+    for name in names:
+        def counted(*args, _function=getattr(owner, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _function(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+
+def test_no_family_of_a_search_leaves_the_prepared_path(monkeypatch):
+    """Counted, not timed, so that a silent loss of the prepared path fails here: a search of
+    d1 with 3 actions takes the full walk (``_normalize_family``) for its first family only,
+    which makes the reader, and no family reaches the reach-class loop (``_violations``),
+    which 990 families reached before a clean family was decided off its entries' picks. The
+    decision off the picks (``_apart``) runs once per combination of pick tuples. A second
+    search on the same pairing leaves the prepared path for no family."""
+    calls = Counter()
+    _counting(calls, agreement, ("_normalize_family", "_violations", "_apart"), monkeypatch)
+    built = build_counterfactual(make_d1())
+    assert search_disagreement(built, 3) is None
+    assert calls == Counter({"_apart": 10, "_normalize_family": 1})
+    calls.clear()
+    assert search_disagreement(built, 3) is None
+    assert calls == Counter()
+
+
+def _skewed_pairing(source):
+    """d1 paired with a carrier of its own four states whose possibility sets lie in the
+    agents' decision domains but do not partition the states: not a counterfactual extension,
+    so families that meet both hypotheses can disagree on it."""
+    sets = {"a": {"w0": "w0 w1", "w1": "w0 w1", "w2": "w2 w3", "w3": "w0 w1 w2 w3"},
+            "b": {"w0": "w1 w2", "w1": "w3", "w2": "w1 w2", "w3": "w0 w3"}}
+    carrier = InformationStructure(source.states, source.agents, {
+        agent: {(w, v) for w, seen in at.items() for v in seen.split()} for agent, at in sets.items()})
+    return CounterfactualStructure(structure=carrier, actual=source.states, labels={}, origin=source)
+
+
+@pytest.mark.parametrize("name, actions, relax, families", [
+    ("d1", 3, (), 6825), ("chain6", 2, (), 1250), ("skewed", 2, (), 150),
+    *[("d1", 2, relax, count) for relax, count in zip(RELAX_SETTINGS, (150, 512, 300, 1024))]])
+def test_the_prepared_path_matches_the_reference_family_by_family(name, actions, relax, families, monkeypatch):
+    """Every family of the stream, for the whole group and each one-agent subgroup, checked on
+    a warm pairing, whose reader is kept across the stream, and on a cold one, whose reader is
+    dropped before each check, so that the check takes the full walk and makes it again; each
+    with ``max_cells`` given and with it resolved from ``EPISTEMIC_MAX_CELLS``. Every verdict
+    equals the reference verdict. On the skewed pairing some families that break nothing
+    disagree, so the decision off the picks is checked where it finds a violation."""
+    source = _chain6() if name == "chain6" else make_d1()
+    pair = _skewed_pairing if name == "skewed" else build_counterfactual
+    warm, cold = pair(source), pair(source)
+    monkeypatch.setenv("EPISTEMIC_MAX_CELLS", "5")  # every agent of d1 and of chain6 has 3 cells
+    compile_table = _memo_compile()
+    seen = Counter()
+    for family in enumerate_decision_profiles(source, actions, stp="stp" not in relax,
+                                              like_minded="like_minded" not in relax):
+        seen["families"] += 1
+        for group in (None, ["a"], ["b"]):
+            want = check_agreement_reference(warm, family, group, "theorem2", 4, compile_table)
+            for target, cap in itertools.product((warm, cold), (4, None)):
+                if target is cold:
+                    object.__setattr__(cold, "_compiled", None)  # a pairing that has checked nothing
+                assert check_agreement(target, family, group=group, max_cells=cap) == want
+            seen["violations"] += bool(want.violations)
+            seen["broken"] += not want.hypotheses_met
+            seen["violations, hypotheses met"] += bool(want.violations) and want.hypotheses_met
+    assert seen["families"] == families
+    assert bool(seen["broken"]) == bool(relax)
+    # Theorem 2: on a counterfactual extension no family that meets both hypotheses disagrees
+    assert bool(seen["violations, hypotheses met"]) == (name == "skewed")
+    assert bool(seen["violations"]) == (bool(relax) or name == "skewed")
 
 
 def test_a_mutated_family_changes_no_later_yield_and_is_checked_as_mutated():
@@ -1185,7 +1264,7 @@ def test_a_warm_search_leaves_every_check_bound_by_a_smaller_cap(via_env, monkey
     family, with the error a pairing that has checked nothing gives."""
     built, cold = build_counterfactual(make_d1()), build_counterfactual(make_d1())
     assert search_disagreement(built, 3) is None
-    assert set(built._plans) == {"a", "b"}
+    assert [slot[0] for slot in built._compiled.slots] == ["a", "b"]
     family = next(enumerate_decision_profiles(built.origin, 3, stp=True, like_minded=True))
     if via_env:
         monkeypatch.setenv("EPISTEMIC_MAX_CELLS", "2")
@@ -1230,9 +1309,10 @@ def _call_events(step, *args, **kwargs):
 
 
 def test_per_family_path_stays_within_its_call_budget():
-    """A warm theorem2 check of a clean d1 family makes at most two Python-level calls, and one
+    """A warm theorem2 check of a clean d1 family makes one Python-level call, and one
     enumerator yield at most three: counted, not timed, so the budget holds on a noisy host.
-    Before the stored plans read each table, the check made 10 and the yield 6."""
+    Before the stored plans read each table, the check made 10 and the yield 6; with per-agent
+    plans and a separate like-mindedness test, the check made 2."""
     source = make_d1()
     built = build_counterfactual(source)
     stream = enumerate_decision_profiles(source, 3, stp=True, like_minded=True)
@@ -1240,9 +1320,10 @@ def test_per_family_path_stays_within_its_call_budget():
     cap = partitions.resolve_max_cells()
     check_agreement(built, family, max_cells=cap)  # plans and entries stored
     calls = _call_events(check_agreement, built, family, max_cells=cap)
-    assert sum(calls.values()) <= 2, calls  # check_agreement, _like_minded
+    assert sum(calls.values()) <= 1, calls  # check_agreement alone
     verdict = check_agreement(built, family, max_cells=cap)
-    assert verdict is agreement._passed("theorem2", ("a", "b"), 1)  # clean: the shared passing verdict
+    assert verdict is check_agreement(built, family, max_cells=cap)  # clean: the shared passing verdict
+    assert verdict.passed and verdict.hypotheses_met and (verdict.group, verdict.profiles_checked) == (("a", "b"), 1)
     next(stream)  # the join's buckets are built on the first yield
     calls = _call_events(next, stream)
     assert sum(calls.values()) <= 3, calls  # the enumerator, _join, DecisionFunction._family
@@ -1318,3 +1399,31 @@ def test_arguments_of_the_wrong_type_raise_input_errors(d1, d1_cf):
         with pytest.raises(InputError) as info:
             call()
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize("mode", ["", [], 0])
+def test_only_none_means_the_default_mode(mode, d1, d1_cf):
+    """An empty string, an empty list or 0 is an unknown mode, not theorem2, for the search as
+    for the check."""
+    family = next(enumerate_decision_profiles(d1, 2))
+    for call in (lambda: search_disagreement(d1, 2, mode=mode), lambda: check_agreement(d1_cf, family, mode=mode)):
+        with pytest.raises(InputError) as info:
+            call()
+        assert str(info.value) == f"unknown mode {mode!r}"
+    assert search_disagreement(d1, 2, mode=None) is None
+
+
+def test_a_field_outside_field_kind_is_refused(d1):
+    """A gamma enumeration, and so a theorem2 search, reads no field: one given is refused, not
+    ignored. Field kind still reads it."""
+    message = "a field is read only for field-kind decision functions, not gamma-kind"
+    field = powerset_field(d1)
+    for call in (lambda: next(enumerate_decision_profiles(d1, 2, kind="gamma", field=[["w0"]])),
+                 lambda: next(enumerate_decision_profiles(d1, 2, field=field)),
+                 lambda: search_disagreement(d1, 2, field=[["w0"]]),
+                 lambda: search_disagreement(d1, 2, mode="theorem2", field=[])):
+        with pytest.raises(InputError) as info:
+            call()
+        assert str(info.value) == message
+    assert next(enumerate_decision_profiles(d1, 2, kind="gamma", field=None))
+    assert search_disagreement(d1, 2, mode="theorem1", field=field) is None

@@ -984,6 +984,6 @@ def test_classified_structures_and_their_pairings_copy_and_pickle():
                 assert (twin._index, twin._full) == (original._index, original._full)
                 assert twin.is_partitional()
             else:
-                assert twin._compiled == twin.origin._facts == twin.structure._facts == {}
+                assert twin._compiled is None and twin.origin._facts == twin.structure._facts == {}
                 assert verify_counterfactual(twin.origin, twin).passed
     assert check_agreement(pickle.loads(pickle.dumps(built)), family) == verdict
